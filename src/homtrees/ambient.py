@@ -1,0 +1,216 @@
+"""The Hom-Hopf structure on a tree ambient, written once.
+
+Both quotients in this package divide the same tree algebra: 𝕋/I keeps
+leaf weights and is exactly graded, U𝔤 decorates the leaves and absorbs
+every weight into its decoration through α.  Their Hom-Hopf maps agree
+up to one step.  Grafting, α and restriction produce a tree; *settling*
+turns that tree into stored keys: 𝕋/I renders it as it is, U𝔤 expands
+it over the algebra basis with the weights absorbed.
+
+`Ambient` holds every map once — ∨, α, Δ, ε, S, ⊗, ηε, the convolution
+⋆, tensor reduction, primitivity and the invertibility-index search.  A
+subclass supplies the settle step, the key reduction, the zero test,
+equality, parsing and the weighted powers.  Elements are LinCombs over
+codec keys, tensors LinCombs over (left key, right key) pairs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Optional
+
+from .linalg import LinComb, TruncSeries
+from .trees import alpha_shift, graft, is_unit, leaf_count, mirror, parse, restrict, to_text
+
+
+class OracleInconclusive(RuntimeError):
+    """A bounded oracle could neither confirm nor refute a required identity."""
+
+    def __init__(self, message, verdict=None):
+        super().__init__(message)
+        self.verdict = verdict
+
+
+def identity_op(p: LinComb) -> LinComb:
+    return p
+
+
+@dataclass
+class IndexSearch:
+    """Result of the invertibility-index search.
+
+    level is the proof level of a leveled ambient (U𝔤), None for 𝕋/I.
+    """
+
+    found: bool
+    index: Optional[int]
+    searched_up_to: int
+    level: Optional[int] = None
+
+    # grouplike-check prints this repr as the clause-c detail, so a 𝕋/I
+    # search shows no level field
+    def __repr__(self):
+        level = "" if self.level is None else ", level=%d" % self.level
+        return "IndexSearch(found=%r, index=%r, searched_up_to=%r%s)" % (
+            self.found, self.index, self.searched_up_to, level)
+
+
+class Ambient:
+    """A quotient of the tree algebra with its Hom-Hopf maps.
+
+    Subclasses define exact, _settle, _level_of, _key_reducer, is_zero,
+    equal, power_product and parse.
+    """
+
+    exact: bool
+
+    def _settle(self, t, coeff) -> list:
+        """coeff·t as stored (key, coeff) pairs; t is a tree or the unit."""
+        raise NotImplementedError
+
+    def _level_of(self, keys) -> Optional[int]:
+        """The level at which elements over these keys are decided."""
+        raise NotImplementedError
+
+    def _key_reducer(self, level) -> Callable:
+        """key ↦ its normal form at the given level."""
+        raise NotImplementedError
+
+    def is_zero(self, p: LinComb, level: Optional[int] = None) -> bool:
+        raise NotImplementedError
+
+    def unit(self) -> LinComb:
+        return LinComb.single("1")
+
+    def zero(self) -> LinComb:
+        return LinComb.zero()
+
+    def graft(self, a: LinComb, b: LinComb) -> LinComb:
+        """Bilinear grafting; a unit factor acts through α."""
+        out = []
+        for ka, ca in a.items():
+            ta = parse(ka)
+            for kb, cb in b.items():
+                out.extend(self._settle(graft(ta, parse(kb)), ca * cb))
+        return LinComb(out)
+
+    def alpha(self, p: LinComb, k: int = 1) -> LinComb:
+        out = []
+        for key, coeff in p.items():
+            out.extend(self._settle(alpha_shift(parse(key), k), coeff))
+        return LinComb(out)
+
+    def coproduct(self, p: LinComb) -> LinComb:
+        """Δ: a basis tree goes to Σ φ_I ⊗ φ_J over the splits of its leaf set.
+
+        Restriction shifts surviving weights through the unit rule and
+        settling stores them; Δ𝟙 = 𝟙⊗𝟙.
+        """
+        out = []
+        for key, coeff in p.items():
+            t = parse(key)
+            if is_unit(t):
+                out.append((("1", "1"), coeff))
+                continue
+            n = leaf_count(t)
+            for mask in range(2 ** n):
+                keep = [i for i in range(1, n + 1) if mask & (1 << (i - 1))]
+                drop = [i for i in range(1, n + 1) if not mask & (1 << (i - 1))]
+                right = self._settle(restrict(t, drop), 1)
+                for lk, lc in self._settle(restrict(t, keep), coeff):
+                    for rk, rc in right:
+                        out.append(((lk, rk), lc * rc))
+        return LinComb(out)
+
+    def counit(self, p: LinComb) -> Fraction:
+        return p.coeff("1")
+
+    def antipode(self, p: LinComb) -> LinComb:
+        """S: 𝟙 fixed, a basis tree goes to (−1)^n times its mirror.
+
+        Mirroring keeps every weight and decoration, so a stored key
+        mirrors to a stored key and nothing needs settling.
+        """
+        out = []
+        for key, coeff in p.items():
+            t = parse(key)
+            if is_unit(t):
+                out.append(("1", coeff))
+            else:
+                out.append((to_text(mirror(t)), (-1) ** leaf_count(t) * coeff))
+        return LinComb(out)
+
+    def tensor(self, a: LinComb, b: LinComb) -> LinComb:
+        return LinComb(((ka, kb), ca * cb) for ka, ca in a.items() for kb, cb in b.items())
+
+    def eta_eps(self, p: LinComb) -> LinComb:
+        return self.counit(p) * self.unit()
+
+    def convolve(self, f: Callable, h: Callable) -> Callable:
+        """f⋆h = ∨∘(f⊗h)∘Δ on linear endo-operators, second twist slot the identity."""
+
+        def star(p: LinComb) -> LinComb:
+            out = []
+            for (lk, rk), coeff in self.coproduct(p).items():
+                for key, c in self.graft(f(LinComb.single(lk)), h(LinComb.single(rk))).items():
+                    out.append((key, coeff * c))
+            return LinComb(out)
+
+        return star
+
+    def reduce_tensor(self, t: LinComb, level: Optional[int] = None) -> LinComb:
+        """Normal form in the tensor square: reduce both factors of every term.
+
+        Exact because the tensor-square ideal is J⊗𝕋 + 𝕋⊗J, whose quotient
+        is spanned by pairs of normal forms.  A leveled ambient reduces at
+        the given level, by default the one its factors need.
+        """
+        if level is None:
+            level = self._level_of(key for pair in t.terms for key in pair)
+        nf = self._key_reducer(level)
+        out = []
+        for (lk, rk), coeff in t.items():
+            for la, ca in nf(lk).items():
+                for rb, cb in nf(rk).items():
+                    out.append(((la, rb), coeff * ca * cb))
+        return LinComb(out)
+
+    def is_primitive(self, p: LinComb, level: Optional[int] = None) -> bool:
+        """Whether Δp = p⊗𝟙 + 𝟙⊗p holds modulo the tensor-square ideal."""
+        if level is None:
+            level = self._level_of(p.terms)
+        pairs = list(self.coproduct(p).items())
+        for key, coeff in p.items():
+            pairs.append(((key, "1"), -coeff))
+            pairs.append((("1", key), -coeff))
+        return not self.reduce_tensor(LinComb(pairs), level)
+
+    def invertibility_index(self, x, max_k: int = 8) -> IndexSearch:
+        """Smallest k with α^k((S⋆id)x − ηε(x)) = 0 = α^k((id⋆S)x − ηε(x)).
+
+        x is an element or a TruncSeries of elements (quotient elements
+        are read through their representative); for a series the
+        conditions are imposed per ν-coefficient and the answer is the
+        smallest uniform k, monotone because α maps the ideal into
+        itself.  A leveled ambient proves each defect at its own level;
+        a NotFound answer is then bounded by max_k and by that level.
+        """
+        coeffs = x.coeffs if isinstance(x, TruncSeries) else (x,)
+        defects = []
+        for c in coeffs:
+            p = getattr(c, "representative", c)
+            target = self.eta_eps(p)
+            defects.append(self.convolve(self.antipode, identity_op)(p) - target)
+            defects.append(self.convolve(identity_op, self.antipode)(p) - target)
+        levels = [self._level_of(d.terms) for d in defects]
+        best = 0
+        for d, level in zip(defects, levels):
+            k = 0
+            while not self.is_zero(d, level):
+                if k >= max_k:
+                    return IndexSearch(False, None, max_k, level)
+                d = self.alpha(d)
+                k += 1
+            best = max(best, k)
+        return IndexSearch(True, best, max_k, None if None in levels else max(levels))

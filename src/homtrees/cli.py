@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/verified, 1 a check failed (the report carries the
 witness), 2 usage or parse error, 3 a bounded oracle was inconclusive at
-its cap.  With --machine every report is a single JSON object with
+its cap, or the input is nested deeper than the interpreter's recursion
+limit allows.  With --machine every report is a single JSON object with
 sorted keys, so identical inputs produce byte-identical output.
 """
 
@@ -15,13 +16,8 @@ from fractions import Fraction
 
 from . import freehom
 from . import ueg
-from .grouplike import (
-    OracleInconclusive,
-    UEAmbient,
-    exp_sequence,
-    load_sequence,
-    validate_sequence,
-)
+from .ambient import OracleInconclusive
+from .grouplike import exp_sequence, load_sequence, validate_sequence
 from .homlie import load_algebra, parse_element, validate
 from .suites import SUITES, run_suite
 from .trees import ParseError
@@ -179,7 +175,7 @@ def _cmd_exp(args, machine: bool) -> int:
         if args.element is None:
             raise ValueError("--element is required together with --algebra")
         x = parse_element(g, args.element)
-        seq = exp_sequence(scalar, args.order, UEAmbient(g, x))
+        seq = exp_sequence(scalar, args.order, ueg.UEAmbient(g, x))
     elif args.element is not None:
         raise ValueError("--element only makes sense with --algebra")
     else:
@@ -345,6 +341,10 @@ def run(argv=None) -> int:
         return EXIT_INCONCLUSIVE
     except ueg.ResourceLimit as exc:
         sys.stderr.write("inconclusive: %s\n" % exc)
+        return EXIT_INCONCLUSIVE
+    except RecursionError:
+        sys.stderr.write("inconclusive: input nested deeper than the recursion limit (%d frames)\n"
+                         % sys.getrecursionlimit())
         return EXIT_INCONCLUSIVE
     except (OSError, ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)

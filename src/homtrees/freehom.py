@@ -7,9 +7,10 @@ structure map α.  Dividing by the two-sided ideal I generated by
     (φ∨ψ)∨α(χ) − α(φ)∨(ψ∨χ)
 
 yields the free Hom-associative algebra with one generator.  This
-module implements the Hom-Hopf structure on 𝕋 (coproduct by leaf-subset
-restriction, counit, antipode by signed mirror) and a complete equality
-oracle for the quotient.
+module holds a complete equality oracle for the quotient and
+FreeAmbient, which carries the Hom-Hopf structure of ambient.Ambient
+(coproduct by leaf-subset restriction, counit, antipode by signed
+mirror) over it; the module-level maps delegate to that ambient.
 
 The oracle rests on a grading.  Assign each leaf the value s_i =
 weight_i + depth_i.  Both sides of the ideal generator have the same
@@ -38,19 +39,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
+from .ambient import Ambient, IndexSearch, identity_op  # noqa: F401 (re-exported for convolve)
 from .linalg import LinComb, RowSpace, TruncSeries, frac
 from .trees import (
-    UNIT,
     Leaf,
     Node,
     alpha_shift,
     enumerate_class,
-    graft,
     is_unit,
     leaf_count,
-    mirror,
     parse,
-    restrict,
     s_signature,
     to_text,
     weights_of,
@@ -73,61 +71,6 @@ def tree_poly(element) -> TreePoly:
     if isinstance(element, str):
         return LinComb.single(to_text(parse(element)))
     return LinComb.single(to_text(element))
-
-
-def graft_poly(a: TreePoly, b: TreePoly) -> TreePoly:
-    """Bilinear extension of grafting; keys that collide merge."""
-    out = []
-    for ka, ca in a.items():
-        ta = parse(ka)
-        for kb, cb in b.items():
-            out.append((to_text(graft(ta, parse(kb))), ca * cb))
-    return LinComb(out)
-
-
-def alpha_poly(p: TreePoly, k: int = 1) -> TreePoly:
-    return p.map_keys(lambda key: to_text(alpha_shift(parse(key), k)))
-
-
-def coproduct(p: TreePoly) -> LinComb:
-    """Δ as a LinComb over (left text, right text) pairs.
-
-    On a basis tree the coproduct is the sum over all ways to split the
-    leaf set: Δφ = Σ φ_I ⊗ φ_J with J the complement of I.  Restriction
-    shifts surviving weights through the unit rule, so the terms are
-    again basis elements.  Δ𝟙 = 𝟙⊗𝟙.
-    """
-    out = []
-    for key, coeff in p.items():
-        t = parse(key)
-        if is_unit(t):
-            out.append((("1", "1"), coeff))
-            continue
-        n = leaf_count(t)
-        positions = range(1, n + 1)
-        for mask in range(2 ** n):
-            keep = [i for i in positions if mask & (1 << (i - 1))]
-            left = restrict(t, keep)
-            right = restrict(t, [i for i in positions if i not in set(keep)])
-            out.append(((to_text(left), to_text(right)), coeff))
-    return LinComb(out)
-
-
-def counit(p: TreePoly) -> Fraction:
-    return p.coeff("1")
-
-
-def antipode(p: TreePoly) -> TreePoly:
-    """S: 𝟙 fixed, a basis tree goes to (−1)^n times its mirror."""
-    out = []
-    for key, coeff in p.items():
-        t = parse(key)
-        if is_unit(t):
-            out.append(("1", coeff))
-        else:
-            sign = (-1) ** leaf_count(t)
-            out.append((to_text(mirror(t)), sign * coeff))
-    return LinComb(out)
 
 
 def class_of(key: str) -> tuple:
@@ -208,10 +151,7 @@ def _nf_key(key: str) -> LinComb:
 
 def normal_form(p: TreePoly) -> TreePoly:
     """Canonical representative modulo I: per-class reduced residual."""
-    out = LinComb.zero()
-    for key, coeff in p.items():
-        out = out + coeff * _nf_key(key)
-    return out
+    return LinComb((nkey, coeff * c) for key, coeff in p.items() for nkey, c in _nf_key(key).items())
 
 
 class QuotientElement:
@@ -277,47 +217,69 @@ def is_zero_mod_I(p: TreePoly) -> bool:
     return not normal_form(p)
 
 
-# --------------------------------------------------------------------------
-# tensor square
+class FreeAmbient(Ambient):
+    """The one-generator quotient 𝕋/I: every check here is decidable."""
+
+    name = "free"
+    exact = True
+
+    def _settle(self, t, coeff) -> list:
+        return [(to_text(t), coeff)]
+
+    def _level_of(self, keys) -> None:
+        return None  # the graded classes are finite: no level to pick
+
+    def _key_reducer(self, level):
+        return _nf_key
+
+    def is_zero(self, p: TreePoly, level=None) -> bool:
+        return is_zero_mod_I(p)
+
+    def equal(self, a: TreePoly, b: TreePoly) -> bool:
+        return equal_mod_I(a, b).equal
+
+    def power_product(self, i: int, p: int) -> TreePoly:
+        return nary_product(i, p)
+
+    def parse(self, text: str) -> TreePoly:
+        return parse_poly(text)
+
+    def __eq__(self, other):
+        return isinstance(other, FreeAmbient)
+
+    def __hash__(self):
+        return hash("free-ambient")
 
 
-def tensor(a: TreePoly, b: TreePoly) -> LinComb:
-    return LinComb(
-        (((ka, kb), ca * cb)) for ka, ca in a.items() for kb, cb in b.items()
-    )
+FREE = FreeAmbient()
 
 
-def tensor_graft(u: LinComb, v: LinComb) -> LinComb:
-    """(x⊗y)∨(x'⊗y') = (x∨x')⊗(y∨y'), extended bilinearly."""
-    out = []
-    for (xa, ya), cu in u.items():
-        ta, sa = parse(xa), parse(ya)
-        for (xb, yb), cv in v.items():
-            key = (to_text(graft(ta, parse(xb))), to_text(graft(sa, parse(yb))))
-            out.append((key, cu * cv))
-    return LinComb(out)
+def alpha_poly(p: TreePoly, k: int = 1) -> TreePoly:
+    return FREE.alpha(p, k)
+
+
+def coproduct(p: TreePoly) -> LinComb:
+    return FREE.coproduct(p)
+
+
+def antipode(p: TreePoly) -> TreePoly:
+    return FREE.antipode(p)
+
+
+def convolve(f: Callable, g: Callable) -> Callable:
+    return FREE.convolve(f, g)
 
 
 def reduce_tensor(t: LinComb) -> LinComb:
-    """Normal form in (𝕋/I)⊗(𝕋/I): reduce both factors of every term.
-
-    Exact because the tensor-square ideal is I⊗𝕋 + 𝕋⊗I, whose quotient
-    is spanned by pairs of class normal forms.
-    """
-    out = []
-    for (lk, rk), coeff in t.items():
-        for la, ca in _nf_key(lk).items():
-            for rb, cb in _nf_key(rk).items():
-                out.append(((la, rb), coeff * ca * cb))
-    return LinComb(out)
+    return FREE.reduce_tensor(t)
 
 
 def is_primitive(p: TreePoly) -> bool:
-    """Whether Δp = p⊗𝟙 + 𝟙⊗p holds modulo I⊗𝕋 + 𝕋⊗I."""
-    d = coproduct(p)
-    for key, coeff in p.items():
-        d = d + LinComb([((key, "1"), -coeff), (("1", key), -coeff)])
-    return not reduce_tensor(d)
+    return FREE.is_primitive(p)
+
+
+def invertibility_index(g, max_k: int = 8) -> IndexSearch:
+    return FREE.invertibility_index(g, max_k)
 
 
 # --------------------------------------------------------------------------
@@ -400,89 +362,6 @@ def exp_taylor(s, order: int) -> TruncSeries:
 def exp_hat(s, p: int) -> TruncSeries:
     """exp̂_p(s): the order-p realization of exp(sν)."""
     return realize_series(exp_taylor(s, p), p)
-
-
-# --------------------------------------------------------------------------
-# convolution and the invertibility index
-
-
-def identity_op(p: TreePoly) -> TreePoly:
-    return p
-
-
-def eta_eps(p: TreePoly) -> TreePoly:
-    return counit(p) * unit_poly()
-
-
-def alpha_op(p: TreePoly) -> TreePoly:
-    return alpha_poly(p)
-
-
-def convolve(f: Callable, g: Callable) -> Callable:
-    """f⋆g = ∨∘(f⊗g)∘Δ on linear endo-operators of 𝕋."""
-
-    def star(p: TreePoly) -> TreePoly:
-        out = LinComb.zero()
-        for (lk, rk), coeff in coproduct(p).items():
-            out = out + coeff * graft_poly(f(LinComb.single(lk)), g(LinComb.single(rk)))
-        return out
-
-    return star
-
-
-def gamma_twist(f: Callable) -> Callable:
-    """γ(f) = α∘f (the second twist slot is the identity here)."""
-
-    def twisted(p: TreePoly) -> TreePoly:
-        return alpha_poly(f(p))
-
-    return twisted
-
-
-@dataclass
-class IndexSearch:
-    """Result of the invertibility-index search."""
-
-    found: bool
-    index: Optional[int]
-    searched_up_to: int
-
-
-def _antipode_defects(p: TreePoly) -> tuple:
-    """(S⋆id)(p) − ηε(p) and (id⋆S)(p) − ηε(p)."""
-    target = eta_eps(p)
-    left = convolve(antipode, identity_op)(p) - target
-    right = convolve(identity_op, antipode)(p) - target
-    return left, right
-
-
-def invertibility_index(g, max_k: int = 8) -> IndexSearch:
-    """Smallest k with α^k((S⋆id)x − ηε(x)) = 0 = α^k((id⋆S)x − ηε(x)) mod I.
-
-    Accepts a TreePoly, a QuotientElement, or a TruncSeries of either;
-    for a series the conditions are imposed per ν-coefficient, and the
-    answer is the smallest uniform k (the per-coefficient condition is
-    monotone in k because α maps the ideal into itself).
-    """
-    if isinstance(g, TruncSeries):
-        polys = [c.representative if isinstance(c, QuotientElement) else c for c in g.coeffs]
-    elif isinstance(g, QuotientElement):
-        polys = [g.representative]
-    else:
-        polys = [g]
-    defects = []
-    for p in polys:
-        defects.extend(_antipode_defects(p))
-    best = 0
-    for d in defects:
-        k = 0
-        while not is_zero_mod_I(d):
-            if k >= max_k:
-                return IndexSearch(False, None, max_k)
-            d = alpha_poly(d)
-            k += 1
-        best = max(best, k)
-    return IndexSearch(True, best, max_k)
 
 
 def u_element() -> TreePoly:

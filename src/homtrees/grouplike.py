@@ -7,10 +7,11 @@ uniform invertibility-index bound; the set of such sequences forms a
 Hom-group whose product is termwise grafting and whose inverse is the
 antipode.
 
-Everything here runs over an "ambient" quotient handle: the
-one-generator algebra (exact, decidable equality) or an enveloping
-algebra U𝔤 (level-bounded equality — checks that cannot be settled at
-the level cap raise OracleInconclusive rather than guessing).
+Everything here runs over an ambient.Ambient: the one-generator
+algebra (freehom.FreeAmbient, exact, decidable equality) or an
+enveloping algebra U𝔤 (ueg.UEAmbient, level-bounded equality — checks
+that cannot be settled at the level cap raise OracleInconclusive
+rather than guessing).
 
 The sequence's truncation cap P is part of the value: every statement
 in scope is per-order, so a finite prefix is the whole story.
@@ -24,141 +25,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from . import freehom
-from . import ueg
+from .ambient import OracleInconclusive
+from .freehom import FREE, class_of
 from .homlie import HomLieAlgebra, load_algebra
 from .linalg import LinComb, RowSpace, TruncSeries, frac, series_multiply
-from .trees import is_unit, leaf_count, parse
-
-
-class OracleInconclusive(RuntimeError):
-    """A bounded oracle could neither confirm nor refute a required identity."""
-
-    def __init__(self, message, verdict=None):
-        super().__init__(message)
-        self.verdict = verdict
-
-
-class FreeAmbient:
-    """The one-generator quotient 𝕋/I: every check here is decidable."""
-
-    name = "free"
-    exact = True
-
-    def unit(self):
-        return LinComb.single("1")
-
-    def zero(self):
-        return LinComb.zero()
-
-    def graft(self, a, b):
-        return freehom.graft_poly(a, b)
-
-    def alpha(self, a):
-        return freehom.alpha_poly(a)
-
-    def antipode(self, a):
-        return freehom.antipode(a)
-
-    def coproduct(self, a):
-        return freehom.coproduct(a)
-
-    def counit(self, a):
-        return freehom.counit(a)
-
-    def tensor_defect(self, t):
-        return freehom.reduce_tensor(t)
-
-    def equal(self, a, b) -> bool:
-        return freehom.equal_mod_I(a, b).equal
-
-    def invertibility_index(self, series_or_poly, max_k):
-        return freehom.invertibility_index(series_or_poly, max_k=max_k)
-
-    def power_product(self, i, p):
-        return freehom.nary_product(i, p)
-
-    def parse(self, text):
-        return freehom.parse_poly(text)
-
-    def __eq__(self, other):
-        return isinstance(other, FreeAmbient)
-
-    def __hash__(self):
-        return hash("free-ambient")
-
-
-class UEAmbient:
-    """U𝔤 of a fixed Hom-Lie algebra: equality is a level-bounded semi-decision."""
-
-    exact = False
-
-    def __init__(self, g: HomLieAlgebra, x=None, slack: int = ueg.DEFAULT_SLACK,
-                 escalation_cap: int = ueg.DEFAULT_ESCALATION_CAP):
-        self.g = g
-        self.x = tuple(x) if x is not None else None  # default exp direction
-        self.slack = slack
-        self.escalation_cap = escalation_cap
-        self.name = "U(%s)" % g.name
-
-    def unit(self):
-        return ueg.unit_upoly()
-
-    def zero(self):
-        return LinComb.zero()
-
-    def graft(self, a, b):
-        return ueg.graft_U(self.g, a, b)
-
-    def alpha(self, a):
-        return ueg.alpha_U(self.g, a)
-
-    def antipode(self, a):
-        return ueg.antipode_U(a)
-
-    def coproduct(self, a):
-        return ueg.coproduct_U(self.g, a)
-
-    def counit(self, a):
-        return ueg.counit_U(a)
-
-    def tensor_defect(self, t):
-        worst = 1
-        for (lk, rk) in t.terms:
-            for key in (lk, rk):
-                tree = parse(key)
-                if not is_unit(tree):
-                    worst = max(worst, leaf_count(tree))
-        return ueg.reduce_tensor_U(self.g, t, worst + self.slack)
-
-    def equal(self, a, b) -> bool:
-        if a == b:
-            return True
-        verdict = ueg.equal_mod_U_auto(self.g, a, b, slack=self.slack,
-                                       escalation_cap=self.escalation_cap)
-        if verdict.equal:
-            return True
-        raise OracleInconclusive(
-            "not provably equal at level %d" % verdict.level, verdict)
-
-    def invertibility_index(self, series_or_poly, max_k):
-        return ueg.invertibility_index_U(self.g, series_or_poly, max_k=max_k,
-                                         slack=self.slack)
-
-    def power_product(self, i, p):
-        if self.x is None:
-            raise ValueError("this ambient has no exponential direction; pass x")
-        return ueg.u_power_product(self.g, self.x, i, p)
-
-    def parse(self, text):
-        return ueg.parse_u_poly(self.g, text)
-
-    def __eq__(self, other):
-        return (isinstance(other, UEAmbient) and other.g == self.g
-                and other.x == self.x)
-
-    def __hash__(self):
-        return hash((self.g, self.x))
+from .ueg import UEAmbient
 
 
 @dataclass
@@ -195,12 +66,10 @@ def is_grouplike_order_p(elem: SeriesElement, p: int) -> GroupLikeResult:
         if ambient.counit(coeffs[m]) != expected:
             return GroupLikeResult(False, m, "counit")
     for m in range(p + 1):
-        diff = ambient.coproduct(coeffs[m])
+        pairs = list(ambient.coproduct(coeffs[m]).items())
         for i in range(m + 1):
-            for lk, lc in coeffs[i].items():
-                for rk, rc in coeffs[m - i].items():
-                    diff = diff - LinComb({(lk, rk): lc * rc})
-        defect = ambient.tensor_defect(diff)
+            pairs.extend((key, -c) for key, c in ambient.tensor(coeffs[i], coeffs[m - i]).items())
+        defect = ambient.reduce_tensor(LinComb(pairs))
         if defect:
             if not ambient.exact:
                 raise OracleInconclusive(
@@ -326,7 +195,7 @@ def exp_sequence(s, cap: int, ambient=None) -> GroupLikeSequence:
     if cap < 0:
         raise ValueError("cap must be non-negative")
     if ambient is None:
-        ambient = FreeAmbient()
+        ambient = FREE
     s = frac(s)
     terms = []
     for p in range(cap + 1):
@@ -393,15 +262,12 @@ def complete_order2(elem: SeriesElement) -> Order2Completion:
     if elem.order < 1:
         raise ValueError("need the series at least to order 1")
     q = elem.series.coeffs[1]
-    target = LinComb(
-        (((lk, rk), lc * rc)) for lk, lc in q.items() for rk, rc in q.items()
-    )
-    target = freehom.reduce_tensor(target)
+    target = ambient.reduce_tensor(ambient.tensor(q, q))
     classes = set()
     for lk in q.terms:
-        n1, s1 = freehom.class_of(lk)
+        n1, s1 = class_of(lk)
         for rk in q.terms:
-            n2, s2 = freehom.class_of(rk)
+            n2, s2 = class_of(rk)
             for merged in _interleavings(s1, s2):
                 classes.add((n1 + n2, merged))
     classes = tuple(sorted(classes))
@@ -413,8 +279,8 @@ def complete_order2(elem: SeriesElement) -> Order2Completion:
     rows = []
     for text in candidates:
         poly = LinComb.single(text)
-        cross = freehom.coproduct(poly) - LinComb({(text, "1"): 1, ("1", text): 1})
-        rows.append(freehom.reduce_tensor(cross))
+        cross = ambient.coproduct(poly) - LinComb({(text, "1"): 1, ("1", text): 1})
+        rows.append(ambient.reduce_tensor(cross))
     space = RowSpace(rows)
     if not target:
         return Order2Completion(True, LinComb.zero(), classes)
@@ -447,7 +313,7 @@ def load_sequence(source) -> GroupLikeSequence:
     if "algebra" in data:
         ambient = UEAmbient(load_algebra(data["algebra"]))
     else:
-        ambient = FreeAmbient()
+        ambient = FREE
     bound = int(data.get("bound", 0))
     orders = data["orders"]
     if not orders:

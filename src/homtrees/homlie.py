@@ -35,10 +35,6 @@ class NotEndomorphism(ValueError):
         self.witness = witness
 
 
-class MorphismInvalid(ValueError):
-    """A HomLieMorphism failed validation where a valid one is required."""
-
-
 @dataclass(frozen=True)
 class HomLieAlgebra:
     name: str
@@ -85,18 +81,6 @@ class HomLieAlgebra:
                             out[k] += xi * c
             x = tuple(out)
         return tuple(x)
-
-    def format_element(self, x: Coords) -> str:
-        parts = []
-        for i, c in enumerate(x):
-            if not c:
-                continue
-            body = self.basis[i] if abs(c) == 1 else "%s*%s" % (abs(c), self.basis[i])
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts) if parts else "0"
 
 
 def make_algebra(name: str, basis: Sequence[str], brackets_upper: dict, alpha_rows: Sequence[Sequence]) -> HomLieAlgebra:

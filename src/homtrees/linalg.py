@@ -135,11 +135,6 @@ def _sort_token(key):
     return repr(key)
 
 
-def lincomb_combine(a: LinComb, b: LinComb, s, t) -> LinComb:
-    """Return s*a + t*b with zero coefficients pruned."""
-    return frac(s) * a + frac(t) * b
-
-
 @dataclass
 class Membership:
     """Answer of a row-space membership query.
@@ -247,11 +242,6 @@ class RowSpace:
         for pkey, coeff in combo.items():
             certificate = certificate + coeff * self._history[pkey]
         return Membership(True, certificate, None)
-
-
-def row_reduce(rows: Iterable[LinComb], track: bool = True) -> RowSpace:
-    """Deterministic exact reduced row echelon form of the given rows."""
-    return RowSpace(rows, track=track)
 
 
 class OrderMismatch(ValueError):

@@ -17,10 +17,9 @@ from typing import Callable, Optional
 
 from . import freehom
 from . import ueg
+from .ambient import OracleInconclusive
+from .freehom import FREE
 from .grouplike import (
-    FreeAmbient,
-    OracleInconclusive,
-    UEAmbient,
     complete_order2,
     exp_sequence,
     homgroup_inverse,
@@ -30,6 +29,7 @@ from .grouplike import (
     unit_sequence,
     validate_sequence,
 )
+from .ueg import UEAmbient
 from .homlie import HomLieAlgebra, make_algebra, nilpotent_kernel, twist
 from .linalg import LinComb, TruncSeries
 from .trees import (
@@ -178,13 +178,13 @@ def criterion_3() -> list:
     witness = None
     for trial in range(200):
         phi, psi, chi = (_random_tree(rng, max_leaves=2, max_weight=2) for _ in range(3))
-        lhs = freehom.graft_poly(
-            freehom.graft_poly(freehom.tree_poly(phi), freehom.tree_poly(psi)),
-            freehom.alpha_poly(freehom.tree_poly(chi)),
+        lhs = FREE.graft(
+            FREE.graft(freehom.tree_poly(phi), freehom.tree_poly(psi)),
+            FREE.alpha(freehom.tree_poly(chi)),
         )
-        rhs = freehom.graft_poly(
-            freehom.alpha_poly(freehom.tree_poly(phi)),
-            freehom.graft_poly(freehom.tree_poly(psi), freehom.tree_poly(chi)),
+        rhs = FREE.graft(
+            FREE.alpha(freehom.tree_poly(phi)),
+            FREE.graft(freehom.tree_poly(psi), freehom.tree_poly(chi)),
         )
         verdict = freehom.equal_mod_I(lhs, rhs)
         if not (verdict.equal and verdict.certificates is not None):
@@ -216,7 +216,7 @@ def criterion_3() -> list:
         )
     )
     checks.append(
-        Check("u∨u is primitive", freehom.is_primitive(freehom.graft_poly(u, u)))
+        Check("u∨u is primitive", freehom.is_primitive(FREE.graft(u, u)))
     )
     return checks
 
@@ -268,7 +268,7 @@ def criterion_5() -> list:
             lhs = freehom.reduce_tensor(freehom.coproduct(freehom.nary_product(n, k)))
             rhs = LinComb.zero()
             for i in range(n + 1):
-                rhs = rhs + comb(n, i) * freehom.tensor(
+                rhs = rhs + comb(n, i) * FREE.tensor(
                     freehom.nary_product(i, k), freehom.nary_product(n - i, k)
                 )
             if lhs != freehom.reduce_tensor(rhs):
@@ -360,7 +360,6 @@ def criterion_6() -> list:
 
 
 def criterion_7() -> list:
-    free = FreeAmbient()
     scalars = (Fraction(1), Fraction(-1), Fraction(1, 2))
     checks = []
 
@@ -376,7 +375,7 @@ def criterion_7() -> list:
     )
 
     def same(a: TruncSeries, b: TruncSeries) -> bool:
-        return all(free.equal(a.coeffs[m], b.coeffs[m]) for m in range(a.order + 1))
+        return all(FREE.equal(a.coeffs[m], b.coeffs[m]) for m in range(a.order + 1))
 
     bad = None
     for s in scalars:
@@ -384,7 +383,7 @@ def criterion_7() -> list:
             prod = homgroup_product(exp_sequence(s, 4), exp_sequence(t, 4))
             target = exp_sequence(s + t, 4)
             for p in range(5):
-                if not same(prod.terms[p], target.terms[p].map(free.alpha)):
+                if not same(prod.terms[p], target.terms[p].map(FREE.alpha)):
                     bad = "s=%s t=%s p=%d" % (s, t, p)
     checks.append(
         Check("exp̂(s) ∨ exp̂(t) = α(exp̂(s+t)) termwise", bad is None, witness=bad)
@@ -395,7 +394,7 @@ def criterion_7() -> list:
         seq = exp_sequence(s, 4)
         inv = homgroup_inverse(seq)
         neg = exp_sequence(-s, 4)
-        unit = unit_sequence(free, 4)
+        unit = unit_sequence(FREE, 4)
         strict = homgroup_product(seq, inv)
         for p in range(5):
             if not same(inv.terms[p], neg.terms[p]):
@@ -416,8 +415,7 @@ def criterion_8() -> list:
     empty = enumerate_class(2, (0, 0)) == []
     checks = [Check("the graded class (2, (0,0)) contains no tree", empty)]
 
-    free = FreeAmbient()
-    elem = SeriesElement(free, TruncSeries([LinComb.single("1"), LinComb.single("0")]))
+    elem = SeriesElement(FREE, TruncSeries([LinComb.single("1"), LinComb.single("0")]))
     out = complete_order2(elem)
     ok = (not out.feasible) and out.candidate_classes == ((2, (0, 0)),) and bool(out.residual)
     checks.append(
@@ -502,8 +500,9 @@ def criterion_9(escalation_cap: int = ueg.DEFAULT_ESCALATION_CAP) -> list:
 
 def criterion_10() -> list:
     g = make_algebra("flat2", ("x", "y"), {(0, 1): (0, 1)}, ((0, 0), (0, 0)))
+    amb = UEAmbient(g)
     x = LinComb.single("0:x")
-    square = ueg.graft_U(g, x, x)
+    square = amb.graft(x, x)
     bad = None
     for level in (2, 3, 4):
         verdict = ueg.equal_mod_U(g, square, LinComb.zero(), level)
@@ -520,7 +519,7 @@ def criterion_10() -> list:
         text = _random_decorated_text(g, rng)
         p = LinComb.single(text)
         expected = LinComb({(text, "1"): 1, ("1", text): 1})
-        if ueg.coproduct_U(g, p) != expected or not ueg.is_primitive_U(g, p):
+        if amb.coproduct(p) != expected or not amb.is_primitive(p):
             bad = text
     checks.append(
         Check("Δ(φ) = φ⊗𝟙 + 𝟙⊗φ for every tree in the α = 0 quotient "
@@ -600,7 +599,7 @@ def criterion_11(escalation_cap: int = ueg.DEFAULT_ESCALATION_CAP) -> list:
     for s in scalars:
         seq = exp_sequence(s, 3, amb)
         for p in range(4):
-            found = ueg.invertibility_index_U(tw, seq.terms[p], max_k=0)
+            found = amb.invertibility_index(seq.terms[p], max_k=0)
             if not (found.found and found.index == 0):
                 bad = "s=%s p=%d" % (s, p)
     checks.append(
@@ -616,6 +615,7 @@ def criterion_12() -> list:
     g = book3()
     _, quotient, projection = nilpotent_kernel(g)
     mapped = ueg.ue_map(projection)
+    up, down = UEAmbient(g), UEAmbient(quotient)
     rng = random.Random(121212)
 
     def random_upoly():
@@ -631,18 +631,18 @@ def criterion_12() -> list:
     bad = None
     for _ in range(25):
         a, b = random_upoly(), random_upoly()
-        if mapped(ueg.graft_U(g, a, b)) != ueg.graft_U(quotient, mapped(a), mapped(b)):
+        if mapped(up.graft(a, b)) != down.graft(mapped(a), mapped(b)):
             bad = "∨: %s, %s" % (freehom.format_poly(a), freehom.format_poly(b))
-        if mapped(ueg.antipode_U(a)) != ueg.antipode_U(mapped(a)):
+        if mapped(up.antipode(a)) != down.antipode(mapped(a)):
             bad = "S: %s" % freehom.format_poly(a)
-        if mapped(ueg.alpha_U(g, a)) != ueg.alpha_U(quotient, mapped(a)):
+        if mapped(up.alpha(a)) != down.alpha(mapped(a)):
             bad = "α: %s" % freehom.format_poly(a)
         pushed = LinComb.zero()
-        for (lk, rk), c in ueg.coproduct_U(g, a).items():
-            pushed = pushed + c * ueg.tensor_U(
+        for (lk, rk), c in up.coproduct(a).items():
+            pushed = pushed + c * down.tensor(
                 mapped(LinComb.single(lk)), mapped(LinComb.single(rk))
             )
-        if pushed != ueg.coproduct_U(quotient, mapped(a)):
+        if pushed != down.coproduct(mapped(a)):
             bad = "Δ: %s" % freehom.format_poly(a)
     checks.append(
         Check(
@@ -674,22 +674,18 @@ def criterion_12() -> list:
 
 def criterion_13(escalation_cap: int = ueg.DEFAULT_ESCALATION_CAP) -> list:
     g = halfaff()
+    amb = UEAmbient(g)
     rng = random.Random(131313)
 
-    def alpha_op(p):
-        return ueg.alpha_U(g, p)
-
-    def alpha_power(p, k):
-        for _ in range(k):
-            p = ueg.alpha_U(g, p)
-        return p
+    def conv(f, h, p):
+        return amb.convolve(f, h)(p)
 
     ops = (
         ("id", lambda p: p),
-        ("S", ueg.antipode_U),
-        ("ηε", ueg.eta_eps_U),
-        ("α", alpha_op),
-        ("α∘S", lambda p: ueg.alpha_U(g, ueg.antipode_U(p))),
+        ("S", amb.antipode),
+        ("ηε", amb.eta_eps),
+        ("α", amb.alpha),
+        ("α∘S", lambda p: amb.alpha(amb.antipode(p))),
     )
 
     assoc_bad = None
@@ -702,41 +698,31 @@ def criterion_13(escalation_cap: int = ueg.DEFAULT_ESCALATION_CAP) -> list:
         hn, h = rng.choice(ops)
         kn, k = rng.choice(ops)
 
-        lhs = ueg.convolution(g, lambda q: ueg.convolution(g, f, h, q),
-                              lambda q: alpha_op(k(q)), x)
-        rhs = ueg.convolution(g, lambda q: alpha_op(f(q)),
-                              lambda q: ueg.convolution(g, h, k, q), x)
+        lhs = conv(lambda q: conv(f, h, q), lambda q: amb.alpha(k(q)), x)
+        rhs = conv(lambda q: amb.alpha(f(q)), lambda q: conv(h, k, q), x)
         verdict = ueg.equal_mod_U_auto(g, lhs, rhs, escalation_cap=escalation_cap)
         if not verdict.equal:
             assoc_bad = "trial %d ops (%s,%s,%s)" % (trial, fn, hn, kn)
 
         # counitality: f ⋆ ηε = α∘f, and (α^p∘S) ⋆ ηε = α^{p+1}∘S, exactly
-        if ueg.convolution(g, lambda q: q, ueg.eta_eps_U, x) != alpha_op(x):
+        if conv(lambda q: q, amb.eta_eps, x) != amb.alpha(x):
             item6_bad = "id at trial %d" % trial
         for power in (0, 1, 2):
-            got = ueg.convolution(
-                g, lambda q: alpha_power(ueg.antipode_U(q), power), ueg.eta_eps_U, x
-            )
-            if got != alpha_power(ueg.antipode_U(x), power + 1):
+            got = conv(lambda q: amb.alpha(amb.antipode(q), power), amb.eta_eps, x)
+            if got != amb.alpha(amb.antipode(x), power + 1):
                 item6_bad = "α^%d∘S at trial %d" % (power, trial)
 
-        if alpha_op(ueg.convolution(g, f, h, x)) != ueg.convolution(
-            g, lambda q: alpha_op(f(q)), lambda q: alpha_op(h(q)), x
-        ):
+        if amb.alpha(conv(f, h, x)) != conv(lambda q: amb.alpha(f(q)), lambda q: amb.alpha(h(q)), x):
             item7_bad = "ops (%s,%s) at trial %d" % (fn, hn, trial)
 
-        found = ueg.invertibility_index_U(g, x)
+        found = amb.invertibility_index(x)
         if not found.found:
             item8_bad = "no index at trial %d" % trial
         else:
             ki = found.index
-            target = ueg.eta_eps_U(x)
-            left = ueg.convolution(
-                g, lambda q: alpha_power(ueg.antipode_U(q), ki),
-                lambda q: alpha_power(q, ki), x)
-            right = ueg.convolution(
-                g, lambda q: alpha_power(q, ki),
-                lambda q: alpha_power(ueg.antipode_U(q), ki), x)
+            target = amb.eta_eps(x)
+            left = conv(lambda q: amb.alpha(amb.antipode(q), ki), lambda q: amb.alpha(q, ki), x)
+            right = conv(lambda q: amb.alpha(q, ki), lambda q: amb.alpha(amb.antipode(q), ki), x)
             if not (
                 ueg.equal_mod_U_auto(g, left, target, escalation_cap=escalation_cap).equal
                 and ueg.equal_mod_U_auto(g, right, target,

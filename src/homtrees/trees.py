@@ -239,18 +239,36 @@ def enumerate_class(n: int, s: SSignature) -> list[Tree]:
     """All weighted n-trees with the given s-signature, sorted by codec text.
 
     A shape contributes iff every leaf satisfies depth_i <= s_i, in which
-    case the weights are forced: a_i = s_i - depth_i.
+    case the weights are forced: a_i = s_i - depth_i.  The trees are
+    built straight from the signature: a root split at k puts s[:k] − 1
+    on the left subtree and s[k:] − 1 on the right.  Only splits whose
+    halves both have trees are followed, so the work stays proportional
+    to the class even when a half alone would hold many trees.
     """
     s = tuple(s)
     if len(s) != n:
         raise ValueError("signature length %d does not match leaf count %d" % (len(s), n))
-    found = []
-    for shape in enumerate_shapes(n):
-        d = depths(shape)
-        if all(si >= di for si, di in zip(s, d)):
-            found.append(with_weights(shape, [si - di for si, di in zip(s, d)]))
-    found.sort(key=to_text)
-    return found
+
+    @lru_cache(maxsize=None)
+    def fits(sig: tuple) -> bool:
+        if min(sig) < 0:
+            return False
+        return len(sig) == 1 or any(True for _ in halves(sig))
+
+    def halves(sig: tuple):
+        for k in range(1, len(sig)):
+            left = tuple(x - 1 for x in sig[:k])
+            right = tuple(x - 1 for x in sig[k:])
+            if fits(left) and fits(right):
+                yield left, right
+
+    @lru_cache(maxsize=None)
+    def build(sig: tuple) -> tuple:
+        if len(sig) == 1:
+            return (Leaf(sig[0]),)
+        return tuple(Node(a, b) for left, right in halves(sig) for a in build(left) for b in build(right))
+
+    return sorted(build(s), key=to_text) if fits(s) else []
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Trees now carry decorations: each leaf names a basis element of a fixed
 Hom-Lie algebra.  Weights never survive construction; a leaf of weight
 w decorated by x is absorbed into weight 0 decorated by α^w(x),
 expanded multilinearly over the algebra basis, so every stored key is a
-zero-weight decorated tree (or the unit).
+zero-weight decorated tree (or the unit).  That absorption is the
+settle step of UEAmbient, which carries the Hom-Hopf structure of
+ambient.Ambient over U𝔤.
 
 The enveloping quotient divides by two row families:
 
@@ -32,18 +34,18 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional
 
+from .ambient import Ambient, OracleInconclusive
 from .homlie import HomLieAlgebra, HomLieMorphism, validate_morphism
-from .linalg import LinComb, RowSpace, TruncSeries
+from .linalg import LinComb, RowSpace
 from .trees import (
     Leaf,
     Node,
+    alpha_shift,
     decorations_of,
     enumerate_shapes,
     is_unit,
     leaf_count,
-    mirror,
     parse,
-    restrict,
     to_text,
     weights_of,
     with_weights,
@@ -68,6 +70,27 @@ def unit_upoly() -> UPoly:
     return LinComb.single("1")
 
 
+def _expand(g: HomLieAlgebra, t, vectors, coeff) -> list:
+    """coeff·t with per-leaf coordinate vectors, as (key, coeff) pairs.
+
+    Each leaf of weight w contributes α^w of its vector; the product
+    runs over the nonzero coordinates only.
+    """
+    ws = weights_of(t)
+    if len(vectors) != len(ws):
+        raise ValueError("expected %d leaf vectors, got %d" % (len(ws), len(vectors)))
+    supports = [[(i, c) for i, c in enumerate(g.apply_alpha(tuple(v), w)) if c]
+                for v, w in zip(vectors, ws)]
+    zeros = [0] * len(ws)
+    out = []
+    for combo in product(*supports):
+        c = coeff
+        for _, ci in combo:
+            c = c * ci
+        out.append((to_text(with_weights(t, zeros, [g.basis[i] for i, _ in combo])), c))
+    return out
+
+
 def decorate_expand(g: HomLieAlgebra, t, vectors) -> UPoly:
     """Decorated tree from per-leaf coordinate vectors, weights absorbed.
 
@@ -78,110 +101,30 @@ def decorate_expand(g: HomLieAlgebra, t, vectors) -> UPoly:
     """
     if is_unit(t):
         return unit_upoly()
-    ws = weights_of(t)
-    if len(vectors) != len(ws):
-        raise ValueError("expected %d leaf vectors, got %d" % (len(ws), len(vectors)))
-    vecs = [g.apply_alpha(tuple(v), w) for v, w in zip(vectors, ws)]
-    shape = t
-    out = []
-    for combo in product(*(range(g.dim) for _ in vecs)):
-        coeff = Fraction(1)
-        for vec, idx in zip(vecs, combo):
-            coeff *= vec[idx]
-            if not coeff:
-                break
-        if not coeff:
-            continue
-        decorated = with_weights(shape, [0] * len(ws), [g.basis[i] for i in combo])
-        out.append((to_text(decorated), coeff))
-    return LinComb(out)
+    return LinComb(_expand(g, t, vectors, 1))
+
+
+def _absorbed(g: HomLieAlgebra, t, coeff) -> list:
+    """coeff·t with its weights absorbed, as (key, coeff) pairs; 𝟙 stays 𝟙."""
+    if is_unit(t):
+        return [("1", coeff)]
+    names = decorations_of(t)
+    if any(n is None for n in names):
+        raise ValueError("absorb_weights needs a decoration on every leaf")
+    return _expand(g, t, [g.basis_vector(g.index_of(n)) for n in names], coeff)
 
 
 def absorb_weights(g: HomLieAlgebra, t) -> UPoly:
     """Weighted decorated tree → UPoly with all weights pushed into α powers."""
-    if is_unit(t):
-        return unit_upoly()
-    names = decorations_of(t)
-    if any(n is None for n in names):
-        raise ValueError("absorb_weights needs a decoration on every leaf")
-    vectors = [g.basis_vector(g.index_of(n)) for n in names]
-    return decorate_expand(g, t, vectors)
+    return LinComb(_absorbed(g, t, 1))
 
 
 def absorb_poly(g: HomLieAlgebra, p: LinComb) -> UPoly:
-    out = LinComb.zero()
-    for key, coeff in p.items():
-        out = out + coeff * absorb_weights(g, parse(key))
-    return out
-
-
-def alpha_U(g: HomLieAlgebra, p: UPoly) -> UPoly:
-    """The structure map: every decoration through α (leaf counts kept)."""
-    out = LinComb.zero()
-    for key, coeff in p.items():
-        t = parse(key)
-        if is_unit(t):
-            out = out + coeff * unit_upoly()
-            continue
-        vectors = [g.apply_alpha(g.basis_vector(g.index_of(n))) for n in decorations_of(t)]
-        out = out + coeff * decorate_expand(g, t, vectors)
-    return out
-
-
-def graft_U(g: HomLieAlgebra, a: UPoly, b: UPoly) -> UPoly:
-    """Bilinear grafting; unit factors act through α via weight absorption."""
-    from .trees import graft
-
-    out = LinComb.zero()
-    for ka, ca in a.items():
-        ta = parse(ka)
-        for kb, cb in b.items():
-            joined = graft(ta, parse(kb))
-            piece = unit_upoly() if is_unit(joined) else absorb_weights(g, joined)
-            out = out + (ca * cb) * piece
-    return out
+    return LinComb(pair for key, coeff in p.items() for pair in _absorbed(g, parse(key), coeff))
 
 
 def coproduct_U(g: HomLieAlgebra, p: UPoly) -> LinComb:
-    """Δ over (left text, right text) pairs; restriction weights absorbed."""
-    out = LinComb.zero()
-    for key, coeff in p.items():
-        t = parse(key)
-        if is_unit(t):
-            out = out + LinComb({("1", "1"): coeff})
-            continue
-        n = leaf_count(t)
-        for mask in range(2 ** n):
-            keep = [i for i in range(1, n + 1) if mask & (1 << (i - 1))]
-            drop = [i for i in range(1, n + 1) if not mask & (1 << (i - 1))]
-            left = restrict(t, keep)
-            right = restrict(t, drop)
-            lp = absorb_weights(g, left) if not is_unit(left) else unit_upoly()
-            rp = absorb_weights(g, right) if not is_unit(right) else unit_upoly()
-            for lk, lc in lp.items():
-                for rk, rc in rp.items():
-                    out = out + LinComb({(lk, rk): coeff * lc * rc})
-    return out
-
-
-def counit_U(p: UPoly) -> Fraction:
-    return p.coeff("1")
-
-
-def antipode_U(p: UPoly) -> UPoly:
-    """Signed mirror; decorations ride along, no α involved."""
-    out = []
-    for key, coeff in p.items():
-        t = parse(key)
-        if is_unit(t):
-            out.append(("1", coeff))
-        else:
-            out.append((to_text(mirror(t)), (-1) ** leaf_count(t) * coeff))
-    return LinComb(out)
-
-
-def tensor_U(a: UPoly, b: UPoly) -> LinComb:
-    return LinComb((((ka, kb), ca * cb)) for ka, ca in a.items() for kb, cb in b.items())
+    return UEAmbient(g).coproduct(p)
 
 
 # --------------------------------------------------------------------------
@@ -217,22 +160,6 @@ def _replace(t, path, replacement):
     return Node(t.left, _replace(t.right, path[1:], replacement))
 
 
-def _alpha_subtree(g: HomLieAlgebra, sub):
-    """Subtree with α on all its decorations, as (tree, coefficient) pairs."""
-    vectors = [g.apply_alpha(g.basis_vector(g.index_of(n))) for n in decorations_of(sub)]
-    out = []
-    for combo in product(*(range(g.dim) for _ in vectors)):
-        coeff = Fraction(1)
-        for vec, idx in zip(vectors, combo):
-            coeff *= vec[idx]
-            if not coeff:
-                break
-        if not coeff:
-            continue
-        out.append((with_weights(sub, [0] * len(vectors), [g.basis[i] for i in combo]), coeff))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class LevelContext:
     g: HomLieAlgebra
@@ -259,15 +186,10 @@ def relation_rows_for(g: HomLieAlgebra, t):
     out = []
     for path, node in _nodes_with_paths(t):
         if isinstance(node.left, Node):
-            # R1: (A v B) v C^alpha  =  A^alpha v (B v C)
-            a = node.left.left
-            b = node.left.right
-            c = node.right
-            row = LinComb.zero()
-            for sub, coeff in _alpha_subtree(g, c):
-                row = row + LinComb({to_text(_replace(t, path, Node(node.left, sub))): coeff})
-            for sub, coeff in _alpha_subtree(g, a):
-                row = row - LinComb({to_text(_replace(t, path, Node(sub, Node(b, c)))): coeff})
+            # R1: (A v B) v C^alpha  =  A^alpha v (B v C), the α-shifted subtree settled
+            a, b, c = node.left.left, node.left.right, node.right
+            row = LinComb(_absorbed(g, _replace(t, path, Node(node.left, alpha_shift(c))), 1)
+                          + _absorbed(g, _replace(t, path, Node(alpha_shift(a), Node(b, c))), -1))
             if row:
                 out.append((row, ("R1", text, path)))
         if isinstance(node.left, Leaf) and isinstance(node.right, Leaf):
@@ -275,12 +197,11 @@ def relation_rows_for(g: HomLieAlgebra, t):
             yi = g.index_of(node.right.name)
             if xi >= yi:
                 continue  # the swapped tree contributes the same row
-            row = LinComb({text: 1, to_text(_replace(t, path, Node(node.right, node.left))): -1})
-            bracket = g.brackets[xi][yi]
-            for k, coeff in enumerate(bracket):
+            pairs = [(text, 1), (to_text(_replace(t, path, Node(node.right, node.left))), -1)]
+            for k, coeff in enumerate(g.brackets[xi][yi]):
                 if coeff:
-                    row = row - coeff * LinComb({to_text(_replace(t, path, Leaf(0, g.basis[k]))): 1})
-            out.append((row, ("R2", text, path)))
+                    pairs.append((to_text(_replace(t, path, Leaf(0, g.basis[k]))), -coeff))
+            out.append((LinComb(pairs), ("R2", text, path)))
     return out
 
 
@@ -373,101 +294,84 @@ def is_zero_mod_U(g: HomLieAlgebra, p: UPoly, level: int, cap: int = DEFAULT_BAS
 
 
 # --------------------------------------------------------------------------
-# convolution, primitives, index
+# the ambient
 
 
-def eta_eps_U(p: UPoly) -> UPoly:
-    return counit_U(p) * unit_upoly()
+class UEAmbient(Ambient):
+    """U𝔤 of a fixed Hom-Lie algebra: equality is a level-bounded semi-decision.
 
-
-def convolution(g: HomLieAlgebra, f: Callable, h: Callable, p: UPoly) -> UPoly:
-    """(f⋆h)(p) = ∨∘(f⊗h)∘Δ(p), the second twist slot fixed to the identity."""
-    out = LinComb.zero()
-    for (lk, rk), coeff in coproduct_U(g, p).items():
-        out = out + coeff * graft_U(g, f(LinComb.single(lk)), h(LinComb.single(rk)))
-    return out
-
-
-@dataclass
-class IndexSearchU:
-    found: bool
-    index: Optional[int]
-    searched_up_to: int
-    level: int
-
-
-def invertibility_index_U(
-    g: HomLieAlgebra,
-    p,
-    max_k: int = 8,
-    slack: int = DEFAULT_SLACK,
-    cap: int = DEFAULT_BASIS_CAP,
-) -> IndexSearchU:
-    """Smallest k with α^k((S⋆id)x − ηε(x)) and the (id⋆S) twin provably zero.
-
-    Accepts a UPoly or a TruncSeries of UPoly; for a series the
-    conditions are imposed on every ν-coefficient.  The proof level is
-    the defect's leaf count plus slack; a NotFound answer is therefore
-    doubly bounded (by max_k and by the level).
+    An element is decided at its largest leaf count (at least 1) plus
+    slack; equal() escalates up to escalation_cap, and a level context
+    may hold at most cap basis trees.
     """
-    polys = list(p.coeffs) if isinstance(p, TruncSeries) else [p]
-    defects = []
-    for q in polys:
-        target = eta_eps_U(q)
-        defects.append(convolution(g, antipode_U, lambda x: x, q) - target)
-        defects.append(convolution(g, lambda x: x, antipode_U, q) - target)
-    best = 0
-    for d in defects:
-        if not d:
-            continue
-        level = max(1, max_leaves(d)) + slack
-        k = 0
-        while not is_zero_mod_U(g, d, level, cap):
-            if k >= max_k:
-                return IndexSearchU(False, None, max_k, level)
-            d = alpha_U(g, d)
-            k += 1
-        best = max(best, k)
-    level = max((max(1, max_leaves(d)) + slack) for d in defects) if defects else 1
-    return IndexSearchU(True, best, max_k, level)
+
+    exact = False
+
+    def __init__(self, g: HomLieAlgebra, x=None, slack: int = DEFAULT_SLACK,
+                 escalation_cap: int = DEFAULT_ESCALATION_CAP, cap: int = DEFAULT_BASIS_CAP):
+        self.g = g
+        self.x = tuple(x) if x is not None else None  # default exp direction
+        self.slack = slack
+        self.escalation_cap = escalation_cap
+        self.cap = cap
+        self.name = "U(%s)" % g.name
+
+    def _settle(self, t, coeff) -> list:
+        return _absorbed(self.g, t, coeff)
+
+    def _level_of(self, keys) -> int:
+        trees = [parse(key) for key in keys]
+        return max([1] + [leaf_count(t) for t in trees if not is_unit(t)]) + self.slack
+
+    def _key_reducer(self, level: int) -> Callable:
+        ctx = build_level(self.g, level, self.cap)
+        reduced: dict = {}
+
+        def nf(key: str) -> UPoly:
+            hit = reduced.get(key)
+            if hit is None:
+                hit = reduced[key] = ctx.reduce(LinComb.single(key))
+            return hit
+
+        return nf
+
+    def is_zero(self, p: UPoly, level: Optional[int] = None) -> bool:
+        if level is None:
+            level = self._level_of(p.terms)
+        return is_zero_mod_U(self.g, p, level, self.cap)
+
+    def equal(self, a: UPoly, b: UPoly) -> bool:
+        if a == b:
+            return True
+        verdict = equal_mod_U_auto(self.g, a, b, slack=self.slack,
+                                   escalation_cap=self.escalation_cap, cap=self.cap)
+        if verdict.equal:
+            return True
+        raise OracleInconclusive(
+            "not provably equal at level %d" % verdict.level, verdict)
+
+    def power_product(self, i: int, p: int) -> UPoly:
+        if self.x is None:
+            raise ValueError("this ambient has no exponential direction; pass x")
+        return u_power_product(self.g, self.x, i, p)
+
+    def parse(self, text: str) -> UPoly:
+        return parse_u_poly(self.g, text)
+
+    def __eq__(self, other):
+        return (isinstance(other, UEAmbient) and other.g == self.g
+                and other.x == self.x)
+
+    def __hash__(self):
+        return hash((self.g, self.x))
 
 
 def reduce_tensor_U(g: HomLieAlgebra, t: LinComb, level: int, cap: int = DEFAULT_BASIS_CAP) -> LinComb:
-    """Componentwise reduction of a tensor over the level-N row span."""
-    ctx = build_level(g, level, cap)
-    nf_cache: dict = {}
-
-    def nf(key: str) -> UPoly:
-        hit = nf_cache.get(key)
-        if hit is None:
-            hit = ctx.reduce(LinComb.single(key))
-            nf_cache[key] = hit
-        return hit
-
-    out = LinComb.zero()
-    for (lk, rk), coeff in t.items():
-        for la, ca in nf(lk).items():
-            for rb, cb in nf(rk).items():
-                out = out + LinComb({(la, rb): coeff * ca * cb})
-    return out
+    return UEAmbient(g, cap=cap).reduce_tensor(t, level)
 
 
 def is_primitive_U(g: HomLieAlgebra, p: UPoly, level: Optional[int] = None, cap: int = DEFAULT_BASIS_CAP) -> bool:
-    """Δp = p⊗𝟙 + 𝟙⊗p modulo (ideal)⊗𝕋 + 𝕋⊗(ideal) at the given level."""
-    if level is None:
-        level = max(1, max_leaves(p)) + DEFAULT_SLACK
-    d = coproduct_U(g, p)
-    for key, coeff in p.items():
-        d = d + LinComb([((key, "1"), -coeff), (("1", key), -coeff)])
-    return not reduce_tensor_U(g, d, level, cap)
-
-
-def commutator_of_primitives(g: HomLieAlgebra, a: UPoly, b: UPoly) -> UPoly:
-    return graft_U(g, a, b) - graft_U(g, b, a)
-
-
-def hom_associator(g: HomLieAlgebra, a: UPoly, b: UPoly, c: UPoly) -> UPoly:
-    return graft_U(g, graft_U(g, a, b), alpha_U(g, c)) - graft_U(g, alpha_U(g, a), graft_U(g, b, c))
+    return UEAmbient(g, cap=cap).is_primitive(p, level)
 
 
 # --------------------------------------------------------------------------
@@ -482,17 +386,18 @@ def ue_map(m: HomLieMorphism) -> Callable:
     target = m.target
 
     def mapped(p: UPoly) -> UPoly:
-        out = LinComb.zero()
+        out = []
         for key, coeff in p.items():
             t = parse(key)
             if is_unit(t):
-                out = out + coeff * unit_upoly()
-                continue
-            vectors = [m.matrix[m.source.index_of(n)] for n in decorations_of(t)]
-            out = out + coeff * decorate_expand(target, t, vectors)
-        return out
+                out.append(("1", coeff))
+            else:
+                vectors = [m.matrix[m.source.index_of(n)] for n in decorations_of(t)]
+                out.extend(_expand(target, t, vectors, coeff))
+        return LinComb(out)
 
     return mapped
+
 
 
 class _UExprParser:

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from homtrees import cli
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -37,6 +39,22 @@ def test_nf_parse_error_reports_position(capsys):
     code, out, err = run(capsys, "nf", "--expr", "bogus(")
     assert code == 2
     assert "position 0" in err
+
+
+def test_nf_too_deeply_nested_is_inconclusive(capsys):
+    deep = "(0 " * 1200 + "0" + ")" * 1200
+    code, out, err = run(capsys, "--machine", "nf", "--expr", deep)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("inconclusive:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_nf_of_a_sixteen_leaf_comb_is_the_comb(capsys):
+    comb = "(0 " * 15 + "0" + ")" * 15
+    code, out, _ = run(capsys, "nf", "--expr", comb)
+    assert code == 0
+    assert out.strip() == comb
 
 
 def test_equal_worked_example(capsys):
@@ -237,3 +255,19 @@ def test_verify_machine_output_is_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["verdict"] == "pass"
     assert [c["number"] for c in payload["criteria"]] == [7, 8]
+
+
+# ------------------------------------------------------------ golden corpus
+
+# argv, exit code and exact stdout of --machine calls over all nine
+# commands, recorded before the Hom-Hopf maps were merged into one
+# ambient class; "{data}" in an argument stands for tests/data
+with open(os.path.join(DATA, "golden_machine.json"), encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=["%02d-%s" % (i, c["argv"][1]) for i, c in enumerate(GOLDEN)])
+def test_golden_machine_output_is_byte_identical(capsys, case):
+    argv = [arg.replace("{data}", DATA) for arg in case["argv"]]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (case["exit"], case["stdout"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from homtrees.freehom import (
+    FREE,
     DomainError,
     QuotientElement,
     alpha_poly,
@@ -12,14 +13,11 @@ from homtrees.freehom import (
     class_of,
     convolve,
     coproduct,
-    counit,
     equal_mod_I,
-    eta_eps,
     exp_hat,
     exp_taylor,
     format_poly,
     graded_decompose,
-    graft_poly,
     identity_op,
     invertibility_index,
     is_fern,
@@ -33,8 +31,6 @@ from homtrees.freehom import (
     realize_series,
     reduce_tensor,
     right_fern,
-    tensor,
-    tensor_graft,
     tree_poly,
     u_element,
     unit_poly,
@@ -107,10 +103,21 @@ def test_coproduct_compatibility_with_grafting_and_alpha():
     for _ in range(15):
         a, b = random_tree(rng), random_tree(rng)
         pa, pb = tree_poly(a), tree_poly(b)
-        assert coproduct(graft_poly(pa, pb)) == tensor_graft(coproduct(pa), coproduct(pb))
+        assert coproduct(FREE.graft(pa, pb)) == tensor_graft(coproduct(pa), coproduct(pb))
         assert coproduct(alpha_poly(pa)) == coproduct(pa).map_keys(
             lambda kv: (to_text(parse(kv[0])) if False else _shift_text(kv[0]), _shift_text(kv[1]))
         )
+
+
+def tensor_graft(u, v):
+    """(x⊗y)∨(x'⊗y') = (x∨x')⊗(y∨y'), extended bilinearly."""
+    out = LinComb.zero()
+    for (xa, ya), cu in u.items():
+        for (xb, yb), cv in v.items():
+            left = FREE.graft(LinComb.single(xa), LinComb.single(xb))
+            right = FREE.graft(LinComb.single(ya), LinComb.single(yb))
+            out = out + (cu * cv) * FREE.tensor(left, right)
+    return out
 
 
 def _shift_text(key):
@@ -120,9 +127,9 @@ def _shift_text(key):
 
 
 def test_counit():
-    assert counit(unit_poly()) == 1
-    assert counit(tree_poly("(0 0)")) == 0
-    assert counit(parse_poly("3*1 - 2*0")) == 3
+    assert FREE.counit(unit_poly()) == 1
+    assert FREE.counit(tree_poly("(0 0)")) == 0
+    assert FREE.counit(parse_poly("3*1 - 2*0")) == 3
 
 
 def test_hom_counit_laws():
@@ -133,8 +140,8 @@ def test_hom_counit_laws():
         left = LinComb.zero()
         right = LinComb.zero()
         for (l, r), c in coproduct(p).items():
-            left = left + c * counit(LinComb.single(r)) * graft_poly(LinComb.single(l), unit_poly())
-            right = right + c * counit(LinComb.single(l)) * graft_poly(unit_poly(), LinComb.single(r))
+            left = left + c * FREE.counit(LinComb.single(r)) * FREE.graft(LinComb.single(l), unit_poly())
+            right = right + c * FREE.counit(LinComb.single(l)) * FREE.graft(unit_poly(), LinComb.single(r))
         assert left == alpha_poly(p)
         assert right == alpha_poly(p)
 
@@ -161,8 +168,8 @@ def test_antipode_reverses_grafting():
     rng = random.Random(45)
     for _ in range(10):
         a, b = random_tree(rng), random_tree(rng)
-        lhs = antipode(graft_poly(tree_poly(a), tree_poly(b)))
-        rhs = graft_poly(antipode(tree_poly(b)), antipode(tree_poly(a)))
+        lhs = antipode(FREE.graft(tree_poly(a), tree_poly(b)))
+        rhs = FREE.graft(antipode(tree_poly(b)), antipode(tree_poly(a)))
         assert lhs == rhs
 
 
@@ -191,8 +198,8 @@ def test_equal_mod_I_hom_associativity_small():
     rng = random.Random(46)
     for _ in range(25):
         a, b, c = (random_tree(rng, max_leaves=2, max_weight=1) for _ in range(3))
-        lhs = graft_poly(graft_poly(tree_poly(a), tree_poly(b)), alpha_poly(tree_poly(c)))
-        rhs = graft_poly(alpha_poly(tree_poly(a)), graft_poly(tree_poly(b), tree_poly(c)))
+        lhs = FREE.graft(FREE.graft(tree_poly(a), tree_poly(b)), alpha_poly(tree_poly(c)))
+        rhs = FREE.graft(alpha_poly(tree_poly(a)), FREE.graft(tree_poly(b), tree_poly(c)))
         verdict = equal_mod_I(lhs, rhs)
         assert verdict.equal
         # replay every class certificate against the relation rows
@@ -235,7 +242,7 @@ def test_primitivity():
     assert is_primitive(tree_poly(Leaf(4)))
     u = u_element()
     assert is_primitive(u)
-    assert is_primitive(graft_poly(u, u))
+    assert is_primitive(FREE.graft(u, u))
     assert not is_primitive(tree_poly("(0 0)"))
     assert not is_primitive(unit_poly())
 
@@ -333,21 +340,21 @@ def test_convolution_counit_laws():
     for _ in range(8):
         p = tree_poly(random_tree(rng))
         # eta-eps is idempotent under convolution
-        assert convolve(eta_eps, eta_eps)(p) == eta_eps(p)
+        assert convolve(FREE.eta_eps, FREE.eta_eps)(p) == FREE.eta_eps(p)
         # f * (eta eps) = alpha o f, here for f = id
-        assert convolve(identity_op, eta_eps)(p) == alpha_poly(p)
-        assert convolve(eta_eps, identity_op)(p) == alpha_poly(p)
+        assert convolve(identity_op, FREE.eta_eps)(p) == alpha_poly(p)
+        assert convolve(FREE.eta_eps, identity_op)(p) == alpha_poly(p)
 
 
 def test_convolution_antipode_on_a_leaf():
     p = tree_poly(Leaf(0))
     assert convolve(antipode, identity_op)(p) == LinComb.zero()
-    assert eta_eps(p) == LinComb.zero()
+    assert FREE.eta_eps(p) == LinComb.zero()
 
 
 def test_tensor_reduction_kills_ideal_factors():
     u = u_element()
-    t = tensor(alpha_poly(u), tree_poly(Leaf(0)))
+    t = FREE.tensor(alpha_poly(u), tree_poly(Leaf(0)))
     assert reduce_tensor(t) == LinComb.zero()
 
 

@@ -9,13 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from homtrees.freehom import format_poly
+from homtrees.ambient import OracleInconclusive
+from homtrees.freehom import FreeAmbient, format_poly
 from homtrees.grouplike import (
-    FreeAmbient,
     GroupLikeSequence,
-    OracleInconclusive,
     SeriesElement,
-    UEAmbient,
     complete_order2,
     exp_injectivity_check,
     exp_sequence,
@@ -28,7 +26,7 @@ from homtrees.grouplike import (
 )
 from homtrees.homlie import make_algebra, nilpotent_kernel, twist
 from homtrees.linalg import LinComb, TruncSeries
-from homtrees.ueg import u_power_product, ue_map
+from homtrees.ueg import UEAmbient, u_power_product, ue_map
 
 
 def scaled2():

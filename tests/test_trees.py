@@ -154,6 +154,47 @@ def test_enumerate_class_validates_length():
         enumerate_class(2, (1,))
 
 
+def shape_filter_class(n, s):
+    """Reference oracle: keep every n-leaf shape whose depths fit under s."""
+    found = []
+    for shape in enumerate_shapes(n):
+        d = depths(shape)
+        if all(si >= di for si, di in zip(s, d)):
+            found.append(with_weights(shape, [si - di for si, di in zip(s, d)]))
+    found.sort(key=to_text)
+    return found
+
+
+def test_enumerate_class_matches_the_shape_filter():
+    rng = random.Random(20261018)
+    nonempty = 0
+    for _ in range(240):
+        n = rng.randint(1, 6)
+        s = tuple(rng.randint(0, n) for _ in range(n))
+        expected = shape_filter_class(n, s)
+        assert enumerate_class(n, s) == expected, s
+        nonempty += bool(expected)
+    # every signature of a real tree lies in its own class
+    for _ in range(60):
+        t = random_tree(rng, max_leaves=6, max_weight=3)
+        n, s = leaf_count(t), s_signature(t)
+        assert enumerate_class(n, s) == shape_filter_class(n, s)
+        assert t in enumerate_class(n, s)
+    assert nonempty > 40
+
+
+def test_enumerate_class_of_a_long_comb_is_immediate():
+    right, left = Leaf(0), Leaf(0)
+    for _ in range(15):
+        right = Node(Leaf(0), right)
+    for _ in range(39):
+        left = Node(left, Leaf(0))
+    assert enumerate_class(16, s_signature(right)) == [right]
+    # every proper left part of this class holds many trees, none completes
+    assert enumerate_class(40, s_signature(left)) == [left]
+    assert enumerate_class(3, (-1, 2, 2)) == []
+
+
 def test_mirror():
     t = parse("((0 2) 1)")
     assert to_text(mirror(t)) == "(1 (2 0))"

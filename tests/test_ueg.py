@@ -23,25 +23,16 @@ from homtrees.linalg import LinComb, RowSpace, TruncSeries, series_multiply
 from homtrees.trees import Leaf, Node, ParseError, parse, to_text, with_weights
 from homtrees.ueg import (
     DEFAULT_BASIS_CAP,
-    IndexSearchU,
     MorphismInvalid,
     ResourceLimit,
+    UEAmbient,
     absorb_poly,
     absorb_weights,
-    alpha_U,
-    antipode_U,
     build_level,
-    commutator_of_primitives,
-    convolution,
     coproduct_U,
-    counit_U,
     decorate_expand,
     equal_mod_U,
     equal_mod_U_auto,
-    eta_eps_U,
-    graft_U,
-    hom_associator,
-    invertibility_index_U,
     is_primitive_U,
     is_zero_mod_U,
     max_leaves,
@@ -216,7 +207,7 @@ def test_level_contexts_memoized():
 def test_commutator_equals_bracket():
     g = aff2()
     x, y = leaf(g, "x"), leaf(g, "y")
-    lhs = graft_U(g, x, y) - graft_U(g, y, x)
+    lhs = UEAmbient(g).graft(x, y) - UEAmbient(g).graft(y, x)
     verdict = equal_mod_U(g, lhs, leaf(g, "y"), 2)
     assert verdict.equal
     assert verdict.level == 2
@@ -226,7 +217,7 @@ def test_commutator_equals_bracket():
 def test_certificate_replays_against_relation_rows():
     g = aff2()
     x, y = leaf(g, "x"), leaf(g, "y")
-    diff = graft_U(g, x, y) - graft_U(g, y, x) - leaf(g, "y")
+    diff = UEAmbient(g).graft(x, y) - UEAmbient(g).graft(y, x) - leaf(g, "y")
     verdict = equal_mod_U(g, diff, LinComb.zero(), 2)
     ctx = build_level(g, 2)
     rebuilt = LinComb.zero()
@@ -248,7 +239,7 @@ def test_equality_needs_matching_level():
 def test_alpha_zero_square_does_not_vanish():
     """With alpha = 0 the square of a generator stays visibly non-zero."""
     g = aff2(((0, 0), (0, 0)))
-    sq = graft_U(g, leaf(g, "x"), leaf(g, "x"))
+    sq = UEAmbient(g).graft(leaf(g, "x"), leaf(g, "x"))
     for level in (2, 3, 4):
         verdict = equal_mod_U(g, sq, LinComb.zero(), level)
         assert not verdict.equal
@@ -262,7 +253,7 @@ def test_alpha_zero_square_does_not_vanish():
 def test_escalation_stops_early_on_success():
     g = aff2()
     x, y = leaf(g, "x"), leaf(g, "y")
-    lhs = graft_U(g, x, y) - graft_U(g, y, x)
+    lhs = UEAmbient(g).graft(x, y) - UEAmbient(g).graft(y, x)
     verdict = equal_mod_U_auto(g, lhs, leaf(g, "y"))
     assert verdict.equal
     assert verdict.level == 3  # max leaf count 2 plus slack 1, no escalation
@@ -308,12 +299,12 @@ def test_coproduct_examples():
 
 def test_counit_and_antipode_examples():
     g = aff2()
-    assert counit_U(unit_upoly()) == 1
-    assert counit_U(leaf(g, "x")) == 0
-    assert counit_U(LinComb({"1": 3, "0:y": 7})) == 3
-    assert antipode_U(leaf(g, "x")) == -leaf(g, "x")
-    assert antipode_U(LinComb.single("(0:x 0:y)")) == LinComb.single("(0:y 0:x)")
-    assert antipode_U(unit_upoly()) == unit_upoly()
+    assert UEAmbient(g).counit(unit_upoly()) == 1
+    assert UEAmbient(g).counit(leaf(g, "x")) == 0
+    assert UEAmbient(g).counit(LinComb({"1": 3, "0:y": 7})) == 3
+    assert UEAmbient(g).antipode(leaf(g, "x")) == -leaf(g, "x")
+    assert UEAmbient(g).antipode(LinComb.single("(0:x 0:y)")) == LinComb.single("(0:y 0:x)")
+    assert UEAmbient(g).antipode(unit_upoly()) == unit_upoly()
 
 
 def test_antipode_involutive_on_small_trees():
@@ -321,7 +312,7 @@ def test_antipode_involutive_on_small_trees():
     rng = random.Random(20260818)
     for _ in range(20):
         p = random_upoly(g, rng, max_leaves_per_term=3)
-        assert antipode_U(antipode_U(p)) == p
+        assert UEAmbient(g).antipode(UEAmbient(g).antipode(p)) == p
 
 
 def random_decorated(g, rng, n):
@@ -347,21 +338,21 @@ def test_bialgebra_axioms_on_random_elements():
         a = random_upoly(g, rng)
         b = random_upoly(g, rng)
         # multiplicativity of the coproduct holds on the nose
-        lhs = coproduct_U(g, graft_U(g, a, b))
+        lhs = coproduct_U(g, UEAmbient(g).graft(a, b))
         rhs = LinComb.zero()
         for (l1, r1), c1 in coproduct_U(g, a).items():
             for (l2, r2), c2 in coproduct_U(g, b).items():
-                piece = graft_U(g, LinComb.single(l1), LinComb.single(l2))
-                piece2 = graft_U(g, LinComb.single(r1), LinComb.single(r2))
+                piece = UEAmbient(g).graft(LinComb.single(l1), LinComb.single(l2))
+                piece2 = UEAmbient(g).graft(LinComb.single(r1), LinComb.single(r2))
                 for kl, cl in piece.items():
                     for kr, cr in piece2.items():
                         rhs = rhs + LinComb({(kl, kr): c1 * c2 * cl * cr})
         assert lhs == rhs
         # counit rules
-        assert counit_U(graft_U(g, a, b)) == counit_U(a) * counit_U(b)
-        assert counit_U(alpha_U(g, a)) == counit_U(a)
+        assert UEAmbient(g).counit(UEAmbient(g).graft(a, b)) == UEAmbient(g).counit(a) * UEAmbient(g).counit(b)
+        assert UEAmbient(g).counit(UEAmbient(g).alpha(a)) == UEAmbient(g).counit(a)
     assert coproduct_U(g, unit_upoly()) == LinComb({("1", "1"): 1})
-    assert counit_U(unit_upoly()) == 1
+    assert UEAmbient(g).counit(unit_upoly()) == 1
 
 
 def test_hom_counit_law_exact():
@@ -373,9 +364,9 @@ def test_hom_counit_law_exact():
         left = LinComb.zero()
         right = LinComb.zero()
         for (lk, rk), coeff in coproduct_U(g, p).items():
-            left = left + coeff * counit_U(LinComb.single(rk)) * graft_U(g, LinComb.single(lk), unit_upoly())
-            right = right + coeff * counit_U(LinComb.single(lk)) * graft_U(g, unit_upoly(), LinComb.single(rk))
-        expected = alpha_U(g, p)
+            left = left + coeff * UEAmbient(g).counit(LinComb.single(rk)) * UEAmbient(g).graft(LinComb.single(lk), unit_upoly())
+            right = right + coeff * UEAmbient(g).counit(LinComb.single(lk)) * UEAmbient(g).graft(unit_upoly(), LinComb.single(rk))
+        expected = UEAmbient(g).alpha(p)
         assert left == expected
         assert right == expected
 
@@ -408,37 +399,39 @@ def identity_op(p):
 
 def test_convolution_counit_examples():
     g = aff2(((2, 0), (0, 1)))
+    amb = UEAmbient(g)
     rng = random.Random(17)
     for _ in range(8):
         p = random_upoly(g, rng)
-        assert convolution(g, eta_eps_U, eta_eps_U, p) == eta_eps_U(p)
+        assert amb.convolve(amb.eta_eps, amb.eta_eps)(p) == amb.eta_eps(p)
         # f ⋆ ηε = α∘f for f = id, exactly
-        assert convolution(g, identity_op, eta_eps_U, p) == alpha_U(g, p)
-    assert convolution(g, antipode_U, identity_op, leaf(g, "x")) == LinComb.zero()
+        assert amb.convolve(identity_op, amb.eta_eps)(p) == amb.alpha(p)
+    assert amb.convolve(amb.antipode, identity_op)(leaf(g, "x")) == LinComb.zero()
 
 
 def test_convolution_hom_associative_mod_U():
     g = aff2()
     rng = random.Random(19)
-    ops = [identity_op, antipode_U, eta_eps_U, lambda p: alpha_U(g, p)]
+    amb = UEAmbient(g)
+    ops = [identity_op, amb.antipode, amb.eta_eps, lambda p: amb.alpha(p)]
     for _ in range(6):
         p = LinComb.single(random_decorated(g, rng, rng.randint(1, 3)))
         f, h, k = rng.choice(ops), rng.choice(ops), rng.choice(ops)
-        lhs = convolution(g, lambda q: convolution(g, f, h, q), lambda q: alpha_U(g, k(q)), p)
-        rhs = convolution(g, lambda q: alpha_U(g, f(q)), lambda q: convolution(g, h, k, q), p)
+        lhs = amb.convolve(lambda q: amb.convolve(f, h)(q), lambda q: amb.alpha(k(q)))(p)
+        rhs = amb.convolve(lambda q: amb.alpha(f(q)), lambda q: amb.convolve(h, k)(q))(p)
         verdict = equal_mod_U_auto(g, lhs, rhs)
         assert verdict.equal, (to_text(parse(next(iter(p.terms)))), verdict.residual)
 
 
 def test_index_examples():
     g = aff2()
-    unit_result = invertibility_index_U(g, unit_upoly())
+    unit_result = UEAmbient(g).invertibility_index(unit_upoly())
     assert unit_result.found and unit_result.index == 0
-    assert invertibility_index_U(g, leaf(g, "x")).index == 0
+    assert UEAmbient(g).invertibility_index(leaf(g, "x")).index == 0
     fern2 = parse_u_poly(g, "(0:x 0:y)")
     fern3 = parse_u_poly(g, "(0:y (0:x 0:x))")
-    assert invertibility_index_U(g, fern2).index == 0
-    assert invertibility_index_U(g, fern3).index == 0
+    assert UEAmbient(g).invertibility_index(fern2).index == 0
+    assert UEAmbient(g).invertibility_index(fern3).index == 0
 
 
 def test_index_of_exponential_series():
@@ -448,7 +441,7 @@ def test_index_of_exponential_series():
         series = TruncSeries(
             [Fraction(1, math.factorial(i)) * u_power_product(tw, x, i, p) for i in range(p + 1)]
         )
-        result = invertibility_index_U(tw, series, max_k=4)
+        result = UEAmbient(tw).invertibility_index(series, max_k=4)
         assert result.found and result.index == 0, p
 
 
@@ -457,10 +450,10 @@ def test_index_product_bound():
     g = aff2()
     a = leaf(g, "x")
     b = parse_u_poly(g, "(0:x 0:y)")
-    ia = invertibility_index_U(g, a).index
-    ib = invertibility_index_U(g, b).index
-    prod = graft_U(g, a, b)
-    result = invertibility_index_U(g, prod)
+    ia = UEAmbient(g).invertibility_index(a).index
+    ib = UEAmbient(g).invertibility_index(b).index
+    prod = UEAmbient(g).graft(a, b)
+    result = UEAmbient(g).invertibility_index(prod)
     assert result.found
     assert result.index <= ia + ib + 1
 
@@ -472,16 +465,22 @@ def test_primitive_examples():
     g = aff2()
     assert is_primitive_U(g, leaf(g, "x"))
     assert is_primitive_U(g, unit_upoly()) is False
-    sq = graft_U(g, leaf(g, "x"), leaf(g, "x"))
+    sq = UEAmbient(g).graft(leaf(g, "x"), leaf(g, "x"))
     assert is_primitive_U(g, sq) is False
+
+
+def hom_associator(amb, a, b, c):
+    """(a∨b)∨α(c) − α(a)∨(b∨c)."""
+    return amb.graft(amb.graft(a, b), amb.alpha(c)) - amb.graft(amb.alpha(a), amb.graft(b, c))
 
 
 def test_commutator_and_associator_of_primitives_are_primitive():
     g = aff2(((2, 0), (0, 1)))
+    amb = UEAmbient(g)
     x, y = leaf(g, "x"), leaf(g, "y")
-    comm = commutator_of_primitives(g, x, y)
+    comm = amb.graft(x, y) - amb.graft(y, x)
     assert is_primitive_U(g, comm)
-    assoc = hom_associator(g, x, y, x)
+    assoc = hom_associator(amb, x, y, x)
     assert is_primitive_U(g, assoc)
     # and the commutator is provably the bracket leaf
     assert equal_mod_U_auto(g, comm, leaf(g, "y")).equal
@@ -490,7 +489,7 @@ def test_commutator_and_associator_of_primitives_are_primitive():
 def test_hom_associator_vanishes_mod_U():
     g = aff2(((2, 0), (0, 1)))
     x, y = leaf(g, "x"), leaf(g, "y")
-    assoc = hom_associator(g, x, y, x)
+    assoc = hom_associator(UEAmbient(g), x, y, x)
     assert equal_mod_U_auto(g, assoc, LinComb.zero()).equal
 
 
@@ -505,7 +504,7 @@ def test_ue_map_identity_and_zero():
     for _ in range(6):
         p = random_upoly(g, rng)
         assert ident(p) == p
-        expected = counit_U(p) * unit_upoly()
+        expected = UEAmbient(g).counit(p) * unit_upoly()
         assert zero(p) == expected
 
 
@@ -534,9 +533,9 @@ def test_ue_map_commutes_with_structure_maps():
     for _ in range(8):
         a = random_upoly(g, rng, max_leaves_per_term=2, terms=2)
         b = random_upoly(g, rng, max_leaves_per_term=2, terms=1)
-        assert mapped(graft_U(g, a, b)) == graft_U(quotient, mapped(a), mapped(b))
-        assert mapped(antipode_U(a)) == antipode_U(mapped(a))
-        assert mapped(alpha_U(g, a)) == alpha_U(quotient, mapped(a))
+        assert mapped(UEAmbient(g).graft(a, b)) == UEAmbient(quotient).graft(mapped(a), mapped(b))
+        assert mapped(UEAmbient(g).antipode(a)) == UEAmbient(g).antipode(mapped(a))
+        assert mapped(UEAmbient(g).alpha(a)) == UEAmbient(quotient).alpha(mapped(a))
         lhs = LinComb.zero()
         for (l, r), c in coproduct_U(g, a).items():
             for kl, cl in mapped(LinComb.single(l)).items():
@@ -591,7 +590,7 @@ def test_u_power_bump_is_alpha():
     x = (Fraction(1), Fraction(2), Fraction(0))
     for i in range(4):
         bumped = u_power_product(tw, x, i, 5)
-        assert bumped == alpha_U(tw, u_power_product(tw, x, i, 4))
+        assert bumped == UEAmbient(tw).alpha(u_power_product(tw, x, i, 4))
 
 
 # ------------------------------------------------ direct weighted-tree oracle
