@@ -324,10 +324,37 @@ HANDLERS = {
 }
 
 
+# Options whose values may start with '-': a negative scalar, a negated
+# polynomial or element.  argparse reads such a value as an option string
+# unless it is a plain negative number.
+DASH_VALUE_OPTIONS = ("--scalar", "--lhs", "--rhs", "--expr", "--element")
+
+
+def _attach_dash_values(argv: list) -> list:
+    """Rewrite `--opt -x` as `--opt=-x` for the options above.
+
+    Only a single-dash token other than -h is taken as the value, so a
+    missing value or a real option string in its slot still fails to parse.
+    """
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        out.append(token)
+        if token in DASH_VALUE_OPTIONS:
+            value = next(tokens, None)
+            if value is None:
+                break
+            if value.startswith("-") and not value.startswith("--") and value != "-h":
+                out[-1] = "%s=%s" % (token, value)
+            else:
+                out.append(value)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -29,6 +29,20 @@ least 1, the row is t minus the tree where that subtree is replaced by
 with these rows is exactly the statement that contexts map generator
 instances to such pairs and that α maps generator instances to
 generator instances.
+
+Every row is a ±1 binomial t − t′, so no elimination is needed: read
+the rows as the edges of a graph on the class's basis trees, and the
+span of the rows is exactly the set of vectors whose coefficients sum
+to zero on every connected component (a path t₀ … t_m gives t₀ − t_m
+as a signed sum of rows; conversely every row sums to zero on the one
+component it touches).  The quotient of a class is thus the free space
+on its components.  ClassComponents finds them by union-find, takes
+each component's largest key in string order as its representative
+(the normal form of every key in it) and keeps a breadth-first spanning
+forest rooted at the representatives.  An Equal certificate is
+Σ c_k·(forest path from k to its representative), a signed combination
+of relation-row indices that replays against row_sources; a NotEqual
+residual is the vector with every key replaced by its representative.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .ambient import Ambient, IndexSearch, identity_op  # noqa: F401 (re-exported for convolve)
-from .linalg import LinComb, RowSpace, TruncSeries, frac
+from .linalg import LinComb, Membership, TruncSeries, frac
 from .trees import (
     Leaf,
     Node,
@@ -113,6 +127,70 @@ def _rewrites(t: Node) -> list:
     return results
 
 
+class ClassComponents:
+    """The span of one graded class's relation rows, as components of
+    its rewrite graph (see the module docstring).
+
+    The interface is RowSpace's: rank, reduce and membership.  Each
+    component's representative is its largest key in string order, the
+    one free column that elimination with smallest-key pivots leaves, so
+    reduced residuals are exactly the ones RowSpace gives.
+    """
+
+    def __init__(self, basis: tuple, row_sources: tuple):
+        parent = {key: key for key in basis}
+
+        def find(key):
+            while parent[key] != key:
+                parent[key] = key = parent[parent[key]]
+            return key
+
+        adjacent = {key: [] for key in basis}
+        for index, (source, target) in enumerate(row_sources):
+            adjacent[source].append((target, index, 1))
+            adjacent[target].append((source, index, -1))
+            a, b = find(source), find(target)
+            if a != b:
+                parent[min(a, b)] = max(a, b)
+        self._rep = {key: find(key) for key in basis}
+        # key -> (parent key, row index, sign) with key − parent = sign·row
+        self._forest: dict = {}
+        for root in (key for key in basis if self._rep[key] == key):
+            frontier = [root]
+            for key in frontier:
+                for other, index, sign in adjacent[key]:
+                    if other != root and other not in self._forest:
+                        self._forest[other] = (key, index, -sign)
+                        frontier.append(other)
+        self.rank = len(self._forest)
+
+    def reduce(self, v: LinComb) -> LinComb:
+        """Replace every key by its representative; keys outside the class stay."""
+        out = dict(v.terms)
+        for key in [k for k in v.terms if k in self._forest]:
+            coeff = out.pop(key)
+            rep = self._rep[key]
+            acc = out.get(rep, 0) + coeff
+            if acc:
+                out[rep] = acc
+            else:
+                out.pop(rep, None)
+        residual = LinComb()
+        residual.terms = out
+        return residual
+
+    def membership(self, v: LinComb) -> Membership:
+        residual = self.reduce(v)
+        if residual:
+            return Membership(False, None, residual)
+        certificate: dict = {}
+        for key, coeff in v.items():
+            while key in self._forest:
+                key, index, sign = self._forest[key]
+                certificate[index] = certificate.get(index, 0) + sign * coeff
+        return Membership(True, LinComb(certificate), None)
+
+
 @dataclass
 class GradedClassContext:
     """Everything needed to decide equality within one graded class."""
@@ -121,7 +199,7 @@ class GradedClassContext:
     signature: tuple
     basis: tuple
     row_sources: tuple  # (tree text, rewritten text) per relation row, in input order
-    space: RowSpace
+    space: ClassComponents
 
 
 @lru_cache(maxsize=None)
@@ -129,17 +207,13 @@ def class_context(n: int, signature: tuple) -> GradedClassContext:
     if n == 0:
         if signature != ():
             raise ValueError("the unit class has the empty signature")
-        return GradedClassContext(0, (), ("1",), (), RowSpace())
-    basis = tuple(to_text(t) for t in enumerate_class(n, signature))
-    sources = []
-    rows = []
-    for text in basis:
-        t = parse(text)
-        for rewritten in _rewrites(t):
-            rtext = to_text(rewritten)
-            sources.append((text, rtext))
-            rows.append(LinComb({text: 1, rtext: -1}))
-    return GradedClassContext(n, tuple(signature), basis, tuple(sources), RowSpace(rows))
+        basis, sources = ("1",), ()
+    else:
+        trees = enumerate_class(n, signature)
+        basis = tuple(to_text(t) for t in trees)
+        sources = tuple((text, to_text(rewritten))
+                        for t, text in zip(trees, basis) for rewritten in _rewrites(t))
+    return GradedClassContext(n, tuple(signature), basis, sources, ClassComponents(basis, sources))
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,13 @@ reductions) is built on three small exact structures:
 * RowSpace     -- fully reduced row echelon span with membership certificates
 * TruncSeries  -- formal series truncated modulo nu^(order+1)
 
+RowSpace serves the relation rows that are not binomials: the level
+contexts of U𝔤 (ueg), the order-p checks of group-like sequences
+(grouplike) and the kernel computations of homlie.  The free quotient
+𝕋/I has only ±1 binomial rows and decides them as graph components
+(freehom.ClassComponents); there RowSpace remains the reference engine
+in the tests.
+
 No floating point is used anywhere; coefficients are fractions.Fraction.
 Basis keys can be anything hashable that sorts against the other keys of
 the same space (codec strings, pairs of strings for tensors, integer

@@ -1,0 +1,58 @@
+"""The names and shapes the benchmark under bench/ reads from homtrees.
+
+bench/common.py empties the caches between rounds, bench/spans.py counts
+class builds through cache_info() and level builds through the size of
+ueg._level_cache, and bench/free.py replays every Equal certificate
+against GradedClassContext.row_sources.  A refactor that breaks one of
+these breaks the benchmark, so each is pinned here.
+"""
+
+from homtrees import freehom, trees, ueg
+from homtrees.linalg import LinComb
+
+CLS = (4, (3, 4, 4, 3))
+
+
+def test_caches_the_benchmark_empties():
+    for fn in (freehom.class_context, freehom._nf_key, trees.parse, trees.enumerate_shapes):
+        fn.cache_clear()
+        assert fn.cache_info().currsize == 0
+    ueg._level_cache.clear()
+    assert len(ueg._level_cache) == 0
+
+
+def test_class_builds_are_counted_by_cache_misses():
+    freehom.class_context.cache_clear()
+    freehom.class_context(*CLS)
+    assert freehom.class_context.cache_info().misses == 1
+    freehom.class_context(*CLS)
+    assert freehom.class_context.cache_info().misses == 1
+
+
+def test_class_context_holds_text_tuples():
+    ctx = freehom.class_context(*CLS)
+    assert (ctx.n, ctx.signature) == CLS
+    assert isinstance(ctx.basis, tuple) and all(isinstance(key, str) for key in ctx.basis)
+    assert isinstance(ctx.row_sources, tuple) and ctx.row_sources
+    for pair in ctx.row_sources:
+        assert isinstance(pair, tuple) and len(pair) == 2
+        assert all(isinstance(text, str) for text in pair)
+    unit = freehom.class_context(0, ())
+    assert (unit.basis, unit.row_sources) == (("1",), ())
+
+
+def test_equal_certificates_replay_against_row_sources():
+    lhs = freehom.parse_poly("((1 2) (2 1)) + 2*((0 0) 01)")
+    rhs = freehom.parse_poly("(2 (2 (1 0))) + 2*(1 (0 0))")
+    verdict = freehom.equal_mod_I(lhs, rhs)
+    assert verdict.equal
+    parts = freehom.graded_decompose(lhs - rhs)
+    assert set(verdict.certificates) == set(parts)
+    for cls, certificate in verdict.certificates.items():
+        ctx = freehom.class_context(*cls)
+        total = LinComb.zero()
+        for index, coeff in certificate.items():
+            source, target = ctx.row_sources[index]
+            assert target in {trees.to_text(r) for r in freehom._rewrites(trees.parse(source))}
+            total = total + coeff * LinComb({source: 1, target: -1})
+        assert total == parts[cls]

@@ -174,6 +174,33 @@ def test_exp_bad_scalar(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("joined", [
+    ("--machine", "exp", "--scalar=-1/2", "--order", "2"),
+    ("--machine", "nf", "--expr=-((0 0) 01)"),
+    ("--machine", "equal", "--lhs=-((0 0) 01)", "--rhs=-(1 (0 0))"),
+    ("--machine", "equal", "--algebra", SL2, "--lhs", "(0:E 0:H) - (0:H 0:E)", "--rhs=-4*0:E"),
+    ("--machine", "exp", "--scalar", "1", "--order", "1", "--algebra", SL2, "--element=-E"),
+])
+def test_option_values_may_start_with_a_dash(capsys, joined):
+    # `--opt -x` answers byte for byte as `--opt=-x`
+    split = [part for arg in joined
+             for part in (arg.split("=", 1) if arg.startswith("--") and "=" in arg else (arg,))]
+    code, out, _ = run(capsys, *joined)
+    assert code == 0
+    assert run(capsys, *split)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("exp", "--scalar"),
+    ("exp", "--scalar", "--order", "2"),
+    ("exp", "--scalar", "-h"),
+    ("equal", "--lhs", "--rhs", "0"),
+])
+def test_a_missing_option_value_is_still_a_usage_error(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (2, "")
+
+
 def test_exp_machine_output_feeds_grouplike_check(capsys, tmp_path):
     code, out, _ = run(capsys, "--machine", "exp", "--scalar", "-1", "--order", "3")
     assert code == 0

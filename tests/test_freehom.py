@@ -35,7 +35,7 @@ from homtrees.freehom import (
     u_element,
     unit_poly,
 )
-from homtrees.linalg import LinComb, TruncSeries
+from homtrees.linalg import LinComb, RowSpace, TruncSeries
 from homtrees.trees import (
     UNIT,
     Leaf,
@@ -194,6 +194,48 @@ def test_class_context_examples():
     assert answer.inside
 
 
+def _replay(ctx, certificate) -> LinComb:
+    out = LinComb.zero()
+    for idx, coeff in certificate.items():
+        t_text, r_text = ctx.row_sources[idx]
+        out = out + coeff * LinComb({t_text: 1, r_text: -1})
+    return out
+
+
+def test_class_components_agree_with_row_space_elimination():
+    # RowSpace over the same rows is the reference engine for the graph one
+    rng = random.Random(61)
+    seen = set()
+    while len(seen) < 200:
+        n = rng.randint(2, 8)
+        t = with_weights(rng.choice(enumerate_shapes(n)), [rng.randint(0, 2) for _ in range(n)])
+        cls = class_of(to_text(t))
+        if cls in seen:
+            continue
+        seen.add(cls)
+        ctx = class_context(*cls)
+        reference = RowSpace((LinComb({a: 1, b: -1}) for a, b in ctx.row_sources), track=False)
+        assert ctx.space.rank == reference.rank
+        component: dict = {}
+        for key in ctx.basis:
+            reduced = ctx.space.reduce(LinComb.single(key))
+            assert reduced == reference.reduce(LinComb.single(key))
+            (rep,) = reduced.terms
+            component.setdefault(rep, []).append(key)
+        assert all(rep == max(keys) for rep, keys in component.items())
+        for _ in range(3):
+            keys = rng.sample(ctx.basis, min(3, len(ctx.basis)))
+            v = LinComb((key, rng.choice((1, 2, -1, Fraction(1, 2)))) for key in keys)
+            for w in (v, v - ctx.space.reduce(v)):
+                answer = ctx.space.membership(w)
+                expected = reference.membership(w)
+                assert answer.inside == expected.inside
+                if answer.inside:
+                    assert _replay(ctx, answer.certificate) == w
+                else:
+                    assert answer.residual == expected.residual
+
+
 def test_equal_mod_I_hom_associativity_small():
     rng = random.Random(46)
     for _ in range(25):
@@ -206,12 +248,7 @@ def test_equal_mod_I_hom_associativity_small():
         diff = lhs - rhs
         per_class = graded_decompose(diff)
         for cls, cert in verdict.certificates.items():
-            ctx = class_context(*cls)
-            replay = LinComb.zero()
-            for idx, coeff in cert.items():
-                t_text, r_text = ctx.row_sources[idx]
-                replay = replay + coeff * LinComb({t_text: 1, r_text: -1})
-            assert replay == per_class.get(cls, LinComb.zero())
+            assert _replay(class_context(*cls), cert) == per_class.get(cls, LinComb.zero())
 
 
 def test_u_is_nonzero_but_alpha_u_vanishes():
