@@ -9,7 +9,10 @@ reductions) is built on three small exact structures:
 
 RowSpace serves the relation rows that are not binomials: the level
 contexts of U𝔤 (ueg), the order-p checks of group-like sequences
-(grouplike) and the kernel computations of homlie.  The free quotient
+(grouplike) and the kernel computations of homlie.  Its elimination
+keeps a column index (key → the pivots whose rows hold it), so clearing
+a new pivot's column touches only those rows; history for certificates
+is kept only when asked for (track=True).  The free quotient
 𝕋/I has only ±1 binomial rows and decides them as graph components
 (freehom.ClassComponents); there RowSpace remains the reference engine
 in the tests.
@@ -163,11 +166,17 @@ class RowSpace:
     total order, so the reduced basis is deterministic given the input
     order.  Each stored row has pivot coefficient 1 and is zero in every
     other pivot column.  Treat instances as immutable once built.
+
+    A column index maps each key to the pivots whose rows hold it, so a
+    new pivot clears its column in just those rows instead of scanning
+    every stored row.  With track=False no history is kept: membership
+    then answers inside/outside and the residual, without a certificate.
     """
 
     def __init__(self, rows: Iterable[LinComb] = (), track: bool = True):
         self._rows: dict = {}      # pivot key -> reduced row
         self._history: dict = {}   # pivot key -> LinComb over input indices
+        self._holders: dict = {}   # key -> set of pivots whose row has that key
         self._track = track
         self.n_inputs = 0
         for row in rows:
@@ -192,20 +201,31 @@ class RowSpace:
             return
         pivot = min(residual.terms)
         lead = residual.terms[pivot]
-        normalized = (1 / lead) * residual
+        normalized = residual if lead == 1 else (1 / lead) * residual
         if self._track:
             hist = LinComb.single(index)
             for pkey, coeff in combo.items():
-                hist = hist - coeff * self._history[pkey]
-            hist = (1 / lead) * hist
-        # keep the reduced invariant: clear the new pivot column everywhere
-        for pkey in list(self._rows):
-            existing = self._rows[pkey]
-            coeff = existing.terms.get(pivot)
-            if coeff:
-                self._rows[pkey] = existing - coeff * normalized
-                if self._track:
-                    self._history[pkey] = self._history[pkey] - coeff * hist
+                if coeff:
+                    _subtract(hist.terms, coeff, self._history[pkey].terms)
+            if lead != 1:
+                hist = (1 / lead) * hist
+        # keep the reduced invariant: clear the new pivot column in the rows
+        # that hold it, updated in place (they are the builder's own until built)
+        holders = self._holders
+        new_terms = normalized.terms
+        for pkey in holders.pop(pivot, ()):
+            terms = self._rows[pkey].terms
+            coeff = terms[pivot]
+            _subtract(terms, coeff, new_terms)
+            for key in new_terms:
+                if key in terms:
+                    holders.setdefault(key, set()).add(pkey)
+                elif key != pivot:
+                    holders[key].discard(pkey)
+            if self._track:
+                _subtract(self._history[pkey].terms, coeff, hist.terms)
+        for key in new_terms:
+            holders.setdefault(key, set()).add(pivot)
         self._rows[pivot] = normalized
         if self._track:
             self._history[pivot] = hist
@@ -249,6 +269,16 @@ class RowSpace:
         for pkey, coeff in combo.items():
             certificate = certificate + coeff * self._history[pkey]
         return Membership(True, certificate, None)
+
+
+def _subtract(terms: dict, coeff, other: dict) -> None:
+    """terms −= coeff·other in place, keeping the term order of LinComb −."""
+    for key, c in other.items():
+        acc = terms.get(key, 0) - coeff * c
+        if acc:
+            terms[key] = acc
+        else:
+            del terms[key]
 
 
 class OrderMismatch(ValueError):

@@ -24,13 +24,26 @@ span over all basis trees with at most N leaves.  A positive answer is
 a proof (the certificate recombines the difference from relation rows);
 a negative answer only says "not provable at level N" and callers may
 escalate N within a cap.
+
+A level is eliminated without history, since verdicts, residuals and
+normal forms need none.  The certificate of an Equal verdict is worked
+out when it is first read: the level context then regenerates its rows
+in build order and keeps one tracked RowSpace over them, so the
+certificate is the one a tracked build would have given.
+
+Every settled term and every relation row goes through one AlphaTable
+per algebra: the supports of α^w(e_i), and shape templates that render
+a decorated tree by filling in leaf texts.  A level build makes the
+row pattern of each shape once (_ShapeRows) and fills it in for every
+decoration of that shape.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Optional
 
@@ -40,14 +53,11 @@ from .linalg import LinComb, RowSpace
 from .trees import (
     Leaf,
     Node,
-    alpha_shift,
     decorations_of,
     enumerate_shapes,
     is_unit,
     leaf_count,
     parse,
-    to_text,
-    weights_of,
     with_weights,
 )
 
@@ -70,25 +80,88 @@ def unit_upoly() -> UPoly:
     return LinComb.single("1")
 
 
+def _template(t, leaves: list) -> str:
+    """The codec text of t's shape with one %s per leaf; its leaves go to `leaves`."""
+    if isinstance(t, Leaf):
+        leaves.append(t)
+        return "%s"
+    return "(%s %s)" % (_template(t.left, leaves), _template(t.right, leaves))
+
+
+class AlphaTable:
+    """The α powers of one algebra's basis, for settling trees into keys.
+
+    power(w)[i] holds the nonzero coordinates of α^w(e_i) as (leaf text,
+    coefficient) pairs, the coefficient None where it is 1, so that a
+    product of coordinates skips it.  A zero-weight decorated tree is
+    rendered by filling its shape template with the leaf texts "0:name".
+    """
+
+    def __init__(self, g: HomLieAlgebra):
+        self.g = g
+        self.index = {name: i for i, name in enumerate(g.basis)}
+        self.leaf_texts = tuple("0:%s" % name for name in g.basis)
+        self._powers: dict = {}
+
+    def power(self, w: int) -> tuple:
+        hit = self._powers.get(w)
+        if hit is None:
+            g = self.g
+            hit = self._powers[w] = tuple(self.support(g.apply_alpha(g.basis_vector(i), w))
+                                          for i in range(g.dim))
+        return hit
+
+    def support(self, vector) -> tuple:
+        texts = self.leaf_texts
+        return tuple((texts[i], None if c == 1 else c) for i, c in enumerate(vector) if c)
+
+    def leaf_index(self, name) -> int:
+        i = self.index.get(name)
+        if i is None:
+            if name is None:
+                raise ValueError("absorb_weights needs a decoration on every leaf")
+            self.g.index_of(name)  # raises KeyError naming the symbol
+        return i
+
+    def expand(self, template: str, supports, coeff) -> list:
+        """coeff·(template filled per leaf support), multilinearly, as (key, coeff) pairs."""
+        out = []
+        for combo in product(*supports):
+            c = coeff
+            for _, ci in combo:
+                if ci is not None:
+                    c = c * ci
+            out.append((template % tuple(text for text, _ in combo), c))
+        return out
+
+    def settle(self, t, coeff) -> list:
+        """coeff·t with its weights absorbed, as (key, coeff) pairs; 𝟙 stays 𝟙."""
+        if is_unit(t):
+            return [("1", coeff)]
+        leaves: list = []
+        template = _template(t, leaves)
+        return self.expand(template, [self.power(lf.weight)[self.leaf_index(lf.name)] for lf in leaves],
+                           coeff)
+
+
+@lru_cache(maxsize=16)
+def alpha_table(g: HomLieAlgebra) -> AlphaTable:
+    return AlphaTable(g)
+
+
 def _expand(g: HomLieAlgebra, t, vectors, coeff) -> list:
     """coeff·t with per-leaf coordinate vectors, as (key, coeff) pairs.
 
     Each leaf of weight w contributes α^w of its vector; the product
     runs over the nonzero coordinates only.
     """
-    ws = weights_of(t)
-    if len(vectors) != len(ws):
-        raise ValueError("expected %d leaf vectors, got %d" % (len(ws), len(vectors)))
-    supports = [[(i, c) for i, c in enumerate(g.apply_alpha(tuple(v), w)) if c]
-                for v, w in zip(vectors, ws)]
-    zeros = [0] * len(ws)
-    out = []
-    for combo in product(*supports):
-        c = coeff
-        for _, ci in combo:
-            c = c * ci
-        out.append((to_text(with_weights(t, zeros, [g.basis[i] for i, _ in combo])), c))
-    return out
+    leaves: list = []
+    template = _template(t, leaves)
+    if len(vectors) != len(leaves):
+        raise ValueError("expected %d leaf vectors, got %d" % (len(leaves), len(vectors)))
+    table = alpha_table(g)
+    supports = [table.support(g.apply_alpha(tuple(v), lf.weight)) for v, lf in zip(vectors, leaves)]
+    return table.expand(template, supports, coeff)
 
 
 def decorate_expand(g: HomLieAlgebra, t, vectors) -> UPoly:
@@ -104,23 +177,14 @@ def decorate_expand(g: HomLieAlgebra, t, vectors) -> UPoly:
     return LinComb(_expand(g, t, vectors, 1))
 
 
-def _absorbed(g: HomLieAlgebra, t, coeff) -> list:
-    """coeff·t with its weights absorbed, as (key, coeff) pairs; 𝟙 stays 𝟙."""
-    if is_unit(t):
-        return [("1", coeff)]
-    names = decorations_of(t)
-    if any(n is None for n in names):
-        raise ValueError("absorb_weights needs a decoration on every leaf")
-    return _expand(g, t, [g.basis_vector(g.index_of(n)) for n in names], coeff)
-
-
 def absorb_weights(g: HomLieAlgebra, t) -> UPoly:
     """Weighted decorated tree → UPoly with all weights pushed into α powers."""
-    return LinComb(_absorbed(g, t, 1))
+    return LinComb(alpha_table(g).settle(t, 1))
 
 
 def absorb_poly(g: HomLieAlgebra, p: LinComb) -> UPoly:
-    return LinComb(pair for key, coeff in p.items() for pair in _absorbed(g, parse(key), coeff))
+    settle = alpha_table(g).settle
+    return LinComb(pair for key, coeff in p.items() for pair in settle(parse(key), coeff))
 
 
 def coproduct_U(g: HomLieAlgebra, p: UPoly) -> LinComb:
@@ -131,27 +195,6 @@ def coproduct_U(g: HomLieAlgebra, p: UPoly) -> LinComb:
 # level contexts
 
 
-def _all_decorated(g: HomLieAlgebra, n: int):
-    for shape in enumerate_shapes(n):
-        for combo in product(g.basis, repeat=n):
-            yield with_weights(shape, [0] * n, combo)
-
-
-def _nodes_with_paths(t):
-    """Preorder list of (path, subtree) for internal nodes; path is a tuple of 0/1."""
-    found = []
-
-    def walk(node, path):
-        if isinstance(node, Leaf):
-            return
-        found.append((path, node))
-        walk(node.left, path + (0,))
-        walk(node.right, path + (1,))
-
-    walk(t, ())
-    return found
-
-
 def _replace(t, path, replacement):
     if not path:
         return replacement
@@ -160,19 +203,65 @@ def _replace(t, path, replacement):
     return Node(t.left, _replace(t.right, path[1:], replacement))
 
 
-@dataclass(frozen=True, eq=False)
-class LevelContext:
-    g: HomLieAlgebra
-    level: int
-    basis: tuple
-    row_sources: tuple  # ("R1"|"R2", base tree text, node path) per row
-    space: RowSpace
+class _ShapeRows:
+    """The relation rows of one tree shape, shared by all its decorations.
 
-    def reduce(self, p: UPoly) -> UPoly:
-        return self.space.reduce(p)
+    Entries follow the internal nodes in preorder.  R1 at a node carrying
+    (A∨B)∨C keeps the shape with C's weights raised by one, against the
+    rotation A∨(B∨C) with A's weights raised; leaf order is the same in
+    both, so the row is two template expansions over leaf ranges.  R2 at
+    a node over leaves i, i+1 swaps two leaf texts, or collapses the two
+    leaves into one.
+    """
 
-    def membership(self, p: UPoly):
-        return self.space.membership(p)
+    def __init__(self, shape):
+        self.template = _template(shape, [])
+        self.entries: list = []
+        self._walk(shape, shape, (), 0)
+
+    def _walk(self, shape, node, path, start):
+        if isinstance(node, Leaf):
+            return
+        left, right = node.left, node.right
+        if isinstance(left, Node):
+            rotated = _template(_replace(shape, path, Node(left.left, Node(left.right, right))), [])
+            c_start = start + leaf_count(left)
+            self.entries.append(("R1", path, start, start + leaf_count(left.left),
+                                 c_start, c_start + leaf_count(right), rotated))
+        elif isinstance(right, Leaf):
+            self.entries.append(("R2", path, start, _template(_replace(shape, path, Leaf(0)), [])))
+        self._walk(shape, left, path + (0,), start)
+        self._walk(shape, right, path + (1,), start + leaf_count(left))
+
+    def rows(self, table: AlphaTable, text: str, texts: tuple, weights, indices) -> list:
+        """(row, source) pairs of the decorated tree with these leaves.
+
+        text is the tree's codec text, texts its leaf texts; weights and
+        indices give each leaf's weight and basis index.
+        """
+        base = [table.power(w)[i] for w, i in zip(weights, indices)]
+        raised = [table.power(w + 1)[i] for w, i in zip(weights, indices)]
+        brackets = table.g.brackets
+        out = []
+        for entry in self.entries:
+            if entry[0] == "R1":
+                _, path, a_start, a_end, c_start, c_end, rotated = entry
+                kept = base[:c_start] + raised[c_start:c_end] + base[c_end:]
+                moved = base[:a_start] + raised[a_start:a_end] + base[a_end:]
+                row = LinComb(table.expand(self.template, kept, 1) + table.expand(rotated, moved, -1))
+                if row:
+                    out.append((row, ("R1", text, path)))
+                continue
+            _, path, i, collapsed = entry
+            x, y = indices[i], indices[i + 1]
+            if x >= y:
+                continue  # the swapped tree contributes the same row
+            pairs = [(text, 1), (self.template % (texts[:i] + (texts[i + 1], texts[i]) + texts[i + 2:]), -1)]
+            for k, coeff in enumerate(brackets[x][y]):
+                if coeff:
+                    pairs.append((collapsed % (texts[:i] + (table.leaf_texts[k],) + texts[i + 2:]), -coeff))
+            out.append((LinComb(pairs), ("R2", text, path)))
+        return out
 
 
 def relation_rows_for(g: HomLieAlgebra, t):
@@ -182,31 +271,65 @@ def relation_rows_for(g: HomLieAlgebra, t):
     same tree back in regenerates identical rows, which is what lets a
     membership certificate be replayed against its level context.
     """
-    text = to_text(t)
-    out = []
-    for path, node in _nodes_with_paths(t):
-        if isinstance(node.left, Node):
-            # R1: (A v B) v C^alpha  =  A^alpha v (B v C), the α-shifted subtree settled
-            a, b, c = node.left.left, node.left.right, node.right
-            row = LinComb(_absorbed(g, _replace(t, path, Node(node.left, alpha_shift(c))), 1)
-                          + _absorbed(g, _replace(t, path, Node(alpha_shift(a), Node(b, c))), -1))
-            if row:
-                out.append((row, ("R1", text, path)))
-        if isinstance(node.left, Leaf) and isinstance(node.right, Leaf):
-            xi = g.index_of(node.left.name)
-            yi = g.index_of(node.right.name)
-            if xi >= yi:
-                continue  # the swapped tree contributes the same row
-            pairs = [(text, 1), (to_text(_replace(t, path, Node(node.right, node.left))), -1)]
-            for k, coeff in enumerate(g.brackets[xi][yi]):
-                if coeff:
-                    pairs.append((to_text(_replace(t, path, Leaf(0, g.basis[k]))), -coeff))
-            out.append((LinComb(pairs), ("R2", text, path)))
-    return out
+    if isinstance(t, Leaf):
+        return []
+    table = alpha_table(g)
+    leaves: list = []
+    template = _template(t, leaves)
+    indices = [table.leaf_index(lf.name) for lf in leaves]
+    texts = tuple("%d:%s" % (lf.weight, lf.name) for lf in leaves)
+    return _ShapeRows(t).rows(table, template % texts, texts, [lf.weight for lf in leaves], indices)
+
+
+def _level_trees(table: AlphaTable, level: int):
+    """(text, relation rows) per basis tree with at most `level` leaves, in build order."""
+    dim = table.g.dim
+    for n in range(1, level + 1):
+        weights = (0,) * n
+        for shape in enumerate_shapes(n):
+            plan = _ShapeRows(shape)
+            for indices in product(range(dim), repeat=n):
+                texts = tuple(table.leaf_texts[i] for i in indices)
+                text = plan.template % texts
+                yield text, plan.rows(table, text, texts, weights, indices)
+
+
+@dataclass(eq=False)
+class LevelContext:
+    """Every relation row over basis trees with at most `level` leaves.
+
+    space is the span without history: reduce and membership verdicts
+    come from it.  certificate(p) recombines p from relation rows; its
+    first call regenerates the rows from the basis in build order (row i
+    comes from row_sources[i]) and keeps one tracked RowSpace over them,
+    so each later call is a query.
+    """
+
+    g: HomLieAlgebra
+    level: int
+    basis: tuple
+    row_sources: tuple  # ("R1"|"R2", base tree text, node path) per row
+    space: RowSpace
+    _tracked: Optional[RowSpace] = field(default=None, repr=False)
+
+    def reduce(self, p: UPoly) -> UPoly:
+        return self.space.reduce(p)
+
+    def membership(self, p: UPoly):
+        return self.space.membership(p)
+
+    def certificate(self, p: UPoly) -> Optional[LinComb]:
+        """p as a combination of relation rows (row_sources indices), None outside the span."""
+        with _tracked_lock:
+            if self._tracked is None:
+                self._tracked = RowSpace(row for _, rows in _level_trees(alpha_table(self.g), self.level)
+                                         for row, _ in rows)
+        return self._tracked.membership(p).certificate
 
 
 _level_cache: dict = {}
 _level_cache_lock = threading.Lock()
+_tracked_lock = threading.Lock()
 
 
 def build_level(g: HomLieAlgebra, level: int, cap: int = DEFAULT_BASIS_CAP) -> LevelContext:
@@ -226,14 +349,12 @@ def build_level(g: HomLieAlgebra, level: int, cap: int = DEFAULT_BASIS_CAP) -> L
     basis = []
     rows = []
     sources = []
-    for n in range(1, level + 1):
-        for t in _all_decorated(g, n):
-            text = to_text(t)
-            basis.append(text)
-            for row, source in relation_rows_for(g, t):
-                rows.append(row)
-                sources.append(source)
-    ctx = LevelContext(g, level, tuple(basis), tuple(sources), RowSpace(rows))
+    for text, tree_rows in _level_trees(alpha_table(g), level):
+        basis.append(text)
+        for row, source in tree_rows:
+            rows.append(row)
+            sources.append(source)
+    ctx = LevelContext(g, level, tuple(basis), tuple(sources), RowSpace(rows, track=False))
     with _level_cache_lock:
         _level_cache[(g, level, cap)] = ctx
     return ctx
@@ -241,12 +362,24 @@ def build_level(g: HomLieAlgebra, level: int, cap: int = DEFAULT_BASIS_CAP) -> L
 
 @dataclass
 class UEquality:
-    """Level-stamped verdict: Equal is a proof, the negative is bounded."""
+    """Level-stamped verdict: Equal is a proof, the negative is bounded.
+
+    An Equal verdict's certificate, the difference as a LinComb over the
+    level context's row_sources indices, is worked out on first read;
+    a NotProvable verdict has none and keeps its residual.
+    """
 
     equal: bool
     level: int
-    certificate: Optional[LinComb] = None
     residual: Optional[LinComb] = None
+    context: Optional[LevelContext] = field(default=None, repr=False, compare=False)
+    difference: Optional[UPoly] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def certificate(self) -> Optional[LinComb]:
+        if not self.equal:
+            return None
+        return self.context.certificate(self.difference)
 
 
 def max_leaves(p: UPoly) -> int:
@@ -266,7 +399,7 @@ def equal_mod_U(g: HomLieAlgebra, a: UPoly, b: UPoly, level: int, cap: int = DEF
     ctx = build_level(g, level, cap)
     answer = ctx.membership(diff)
     if answer.inside:
-        return UEquality(True, level, certificate=answer.certificate)
+        return UEquality(True, level, context=ctx, difference=diff)
     return UEquality(False, level, residual=answer.residual)
 
 
@@ -315,9 +448,10 @@ class UEAmbient(Ambient):
         self.escalation_cap = escalation_cap
         self.cap = cap
         self.name = "U(%s)" % g.name
+        self._table = alpha_table(g)
 
     def _settle(self, t, coeff) -> list:
-        return _absorbed(self.g, t, coeff)
+        return self._table.settle(t, coeff)
 
     def _level_of(self, keys) -> int:
         trees = [parse(key) for key in keys]

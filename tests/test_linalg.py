@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,116 @@ def test_rowspace_without_tracking_still_decides():
     answer = space.membership(LinComb({"x": 2, "y": 1}))
     assert answer.inside and answer.certificate is None
     assert not space.membership(LinComb({"z": 1})).inside
+
+
+class FullScanRowSpace:
+    """RowSpace as it was before the column index: every stored row is
+    scanned for each new pivot, with LinComb arithmetic throughout."""
+
+    def __init__(self, rows, track=True):
+        self._rows = {}
+        self._history = {}
+        self._track = track
+        for index, row in enumerate(rows):
+            self._insert(index, row)
+
+    def _insert(self, index, row):
+        residual, combo = self.split(row)
+        if not residual:
+            return
+        pivot = min(residual.terms)
+        lead = residual.terms[pivot]
+        normalized = (1 / lead) * residual
+        if self._track:
+            hist = LinComb.single(index)
+            for pkey, coeff in combo.items():
+                hist = hist - coeff * self._history[pkey]
+            hist = (1 / lead) * hist
+        for pkey in list(self._rows):
+            existing = self._rows[pkey]
+            coeff = existing.terms.get(pivot)
+            if coeff:
+                self._rows[pkey] = existing - coeff * normalized
+                if self._track:
+                    self._history[pkey] = self._history[pkey] - coeff * hist
+        self._rows[pivot] = normalized
+        if self._track:
+            self._history[pivot] = hist
+
+    def split(self, v):
+        combo = {}
+        out = dict(v.terms)
+        for key in [k for k in v.terms if k in self._rows]:
+            coeff = out.get(key)
+            if not coeff:
+                combo.setdefault(key, Fraction(0))
+                continue
+            combo[key] = coeff
+            for rkey, rcoeff in self._rows[key].terms.items():
+                acc = out.get(rkey, 0) - coeff * rcoeff
+                if acc:
+                    out[rkey] = acc
+                else:
+                    out.pop(rkey, None)
+        return LinComb(out), combo
+
+    def certificate(self, v):
+        residual, combo = self.split(v)
+        if residual or not self._track:
+            return None
+        certificate = LinComb.zero()
+        for pkey, coeff in combo.items():
+            certificate = certificate + coeff * self._history[pkey]
+        return certificate
+
+
+def _seeded_rows(rng, n_keys, n_rows):
+    coeffs = [Fraction(c) for c in (1, -1, 2, -3, "1/2", "-2/3", "5/4")]
+    rows = []
+    for _ in range(n_rows):
+        pick = rng.random()
+        if rows and pick < 0.15:
+            rows.append(rng.choice(rows))  # a duplicate
+        elif len(rows) > 1 and pick < 0.35:
+            a, b = rng.sample(rows, 2)  # a dependent row
+            rows.append(rng.choice(coeffs) * a + rng.choice(coeffs) * b)
+        else:
+            keys = rng.sample(range(n_keys), rng.randint(1, min(4, n_keys)))
+            rows.append(LinComb((k, rng.choice(coeffs)) for k in keys))
+    return rows
+
+
+@pytest.mark.parametrize("track", [True, False])
+def test_column_index_matches_a_full_scan(track):
+    rng = random.Random(4051)
+    for trial in range(40):
+        n_keys = rng.randint(3, 25)
+        rows = _seeded_rows(rng, n_keys, rng.randint(1, 30))
+        space = RowSpace(rows, track=track)
+        reference = FullScanRowSpace(rows, track=track)
+        assert space.pivots() == sorted(reference._rows)
+        assert space.rank == len(reference._rows)
+        assert list(space._rows) == list(reference._rows)  # insertion order too
+        got = space.rows()
+        want = [reference._rows[p] for p in sorted(reference._rows)]
+        assert [list(r.terms.items()) for r in got] == [list(r.terms.items()) for r in want]
+        queries = [rng.choice(rows) + rng.choice(rows) for _ in range(5)]
+        queries += [LinComb((k, rng.randint(-2, 2)) for k in rng.sample(range(n_keys), 2)) for _ in range(5)]
+        for q in queries:
+            residual = reference.split(q)[0]
+            assert list(space.reduce(q).terms.items()) == list(residual.terms.items())
+            answer = space.membership(q)
+            assert answer.inside == (not residual)
+            if answer.inside:
+                assert answer.certificate == reference.certificate(q)
+                if track:
+                    replay = LinComb.zero()
+                    for idx, coeff in answer.certificate.items():
+                        replay = replay + coeff * rows[idx]
+                    assert replay == q
+            else:
+                assert answer.certificate is None
+                assert list(answer.residual.terms.items()) == list(residual.terms.items())
 
 
 def test_trunc_series_basics():

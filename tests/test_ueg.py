@@ -6,21 +6,37 @@ are asserted as frozen values here; everything else is either a pinned
 small example or a seeded random property check.
 """
 
+import dataclasses
 import math
+import os
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from homtrees import ueg
 from homtrees.homlie import (
     HomLieMorphism,
     identity_morphism,
+    load_algebra,
     make_algebra,
     nilpotent_kernel,
     twist,
 )
 from homtrees.linalg import LinComb, RowSpace, TruncSeries, series_multiply
-from homtrees.trees import Leaf, Node, ParseError, parse, to_text, with_weights
+from homtrees.trees import (
+    Leaf,
+    Node,
+    ParseError,
+    alpha_shift,
+    decorations_of,
+    enumerate_shapes,
+    parse,
+    to_text,
+    weights_of,
+    with_weights,
+)
 from homtrees.ueg import (
     DEFAULT_BASIS_CAP,
     MorphismInvalid,
@@ -227,6 +243,140 @@ def test_certificate_replays_against_relation_rows():
             if source == (kind, text, path):
                 rebuilt = rebuilt + coeff * row
     assert rebuilt == diff
+
+
+# The relation rows as they were generated before the α-power table:
+# every term built as a tree, absorbed leaf by leaf and rendered.
+
+
+def _reference_expand(g, t, vectors, coeff):
+    ws = weights_of(t)
+    supports = [[(i, c) for i, c in enumerate(g.apply_alpha(tuple(v), w)) if c]
+                for v, w in zip(vectors, ws)]
+    zeros = [0] * len(ws)
+    out = []
+    for combo in product(*supports):
+        c = coeff
+        for _, ci in combo:
+            c = c * ci
+        out.append((to_text(with_weights(t, zeros, [g.basis[i] for i, _ in combo])), c))
+    return out
+
+
+def _reference_absorbed(g, t, coeff):
+    return _reference_expand(g, t, [g.basis_vector(g.index_of(n)) for n in decorations_of(t)], coeff)
+
+
+def _reference_rows(g, t):
+    text = to_text(t)
+    out = []
+    for path, node in _walk_nodes(t):
+        if isinstance(node.left, Node):
+            a, b, c = node.left.left, node.left.right, node.right
+            row = LinComb(_reference_absorbed(g, _replace_at(t, path, Node(node.left, alpha_shift(c))), 1)
+                          + _reference_absorbed(g, _replace_at(t, path, Node(alpha_shift(a), Node(b, c))), -1))
+            if row:
+                out.append((row, ("R1", text, path)))
+        if isinstance(node.left, Leaf) and isinstance(node.right, Leaf):
+            xi, yi = g.index_of(node.left.name), g.index_of(node.right.name)
+            if xi >= yi:
+                continue
+            pairs = [(text, 1), (to_text(_replace_at(t, path, Node(node.right, node.left))), -1)]
+            for k, coeff in enumerate(g.brackets[xi][yi]):
+                if coeff:
+                    pairs.append((to_text(_replace_at(t, path, Leaf(0, g.basis[k]))), -coeff))
+            out.append((LinComb(pairs), ("R2", text, path)))
+    return out
+
+
+def _ordered(rows):
+    return [(list(row.terms.items()), source) for row, source in rows]
+
+
+SL2_JSON = os.path.join(os.path.dirname(__file__), "data", "sl2_twisted.json")
+
+
+def test_relation_rows_and_levels_match_the_tree_by_tree_reference():
+    algebras = [
+        (aff2(), 4),
+        (aff2(((1, 0), (0, Fraction(2, 3)))), 4),
+        (aff2(((0, 0), (0, 0))), 4),
+        (aff2(((1, 1), (0, 1))), 4),
+        (abelian(2, alpha=((1, 1), (0, 1))), 4),
+        (load_algebra(SL2_JSON), 3),
+    ]
+    rng = random.Random(2718)
+    for g, top in algebras:
+        trees = []
+        for n in range(1, top + 1):
+            for shape in enumerate_shapes(n):
+                for names in product(g.basis, repeat=n):
+                    trees.append(with_weights(shape, [0] * n, names))
+        for t in trees:
+            assert _ordered(relation_rows_for(g, t)) == _ordered(_reference_rows(g, t))
+        # weighted trees take the same path
+        for _ in range(20):
+            n = rng.randint(2, top)
+            t = with_weights(rng.choice(enumerate_shapes(n)), [rng.randint(0, 2) for _ in range(n)],
+                             [rng.choice(g.basis) for _ in range(n)])
+            assert _ordered(relation_rows_for(g, t)) == _ordered(_reference_rows(g, t))
+        for level in range(1, top + 1):
+            ctx = build_level(g, level)
+            basis = [to_text(t) for t in trees if len(weights_of(t)) <= level]
+            rows = [pair for t in trees if len(weights_of(t)) <= level for pair in _reference_rows(g, t)]
+            reference = RowSpace((row for row, _ in rows), track=False)
+            assert list(ctx.basis) == basis
+            assert list(ctx.row_sources) == [source for _, source in rows]
+            assert ctx.space.rank == reference.rank
+            assert [list(r.terms.items()) for r in ctx.space.rows()] == \
+                [list(r.terms.items()) for r in reference.rows()]
+
+
+def test_certificates_are_built_on_demand(monkeypatch):
+    builds = []
+
+    class CountingRowSpace(RowSpace):
+        def __init__(self, rows=(), track=True):
+            builds.append(track)
+            super().__init__(rows, track)
+
+    monkeypatch.setattr(ueg, "RowSpace", CountingRowSpace)
+    # fresh names, so that no level context is already cached
+    algebras = [make_algebra("aff2-on-demand", ("x", "y"), {(0, 1): (0, 1)}, ((1, 0), (0, 2))),
+                dataclasses.replace(load_algebra(SL2_JSON), name="sl2-on-demand")]
+    rng = random.Random(314)
+    for g in algebras:
+        for level in (2, 3, 4):
+            del builds[:]
+            ctx = build_level(g, level)
+            assert builds == [False]  # the level space keeps no history
+            rows = [pair for text in ctx.basis for pair in relation_rows_for(g, parse(text))]
+            assert [source for _, source in rows] == list(ctx.row_sources)
+            reference = RowSpace(row for row, _ in rows)
+            trees = [text for text in ctx.basis if relation_rows_for(g, parse(text))]
+            for reads in range(4):
+                text = rng.choice(trees)
+                row, _ = rng.choice(relation_rows_for(g, parse(text)))
+                lhs = LinComb.single(text)
+                rhs = lhs - rng.choice((1, -2, Fraction(1, 3))) * row
+                verdict = equal_mod_U(g, lhs, rhs, level)
+                assert verdict.equal
+                assert builds == [False] + [True] * min(reads, 1)  # a verdict alone builds nothing
+                certificate = verdict.certificate
+                assert builds == [False, True]  # one tracked space per context, on its first read
+                assert certificate == reference.membership(lhs - rhs).certificate
+                rebuilt = LinComb.zero()
+                for idx, coeff in certificate.items():
+                    rebuilt = rebuilt + coeff * rows[idx][0]
+                assert rebuilt == lhs - rhs
+                assert verdict.certificate is certificate
+                assert builds == [False, True]
+            # every basis tree is nonzero in U(g)
+            lonely = equal_mod_U(g, LinComb.single(rng.choice(ctx.basis)), LinComb.zero(), level)
+            assert not lonely.equal
+            assert lonely.certificate is None
+            assert lonely.residual
+            assert builds == [False, True]
 
 
 def test_equality_needs_matching_level():
