@@ -149,15 +149,15 @@ class Ambient:
 
     def convolve(self, f: Callable, h: Callable) -> Callable:
         """f⋆h = ∨∘(f⊗h)∘Δ on linear endo-operators, second twist slot the identity."""
+        return lambda p: self._graft_tensor(f, h, self.coproduct(p))
 
-        def star(p: LinComb) -> LinComb:
-            out = []
-            for (lk, rk), coeff in self.coproduct(p).items():
-                for key, c in self.graft(f(LinComb.single(lk)), h(LinComb.single(rk))).items():
-                    out.append((key, coeff * c))
-            return LinComb(out)
-
-        return star
+    def _graft_tensor(self, f: Callable, h: Callable, t: LinComb) -> LinComb:
+        """∨∘(f⊗h) on a tensor, the second half of a convolution."""
+        out = []
+        for (lk, rk), coeff in t.items():
+            for key, c in self.graft(f(LinComb.single(lk)), h(LinComb.single(rk))).items():
+                out.append((key, coeff * c))
+        return LinComb(out)
 
     def reduce_tensor(self, t: LinComb, level: Optional[int] = None) -> LinComb:
         """Normal form in the tensor square: reduce both factors of every term.
@@ -201,8 +201,9 @@ class Ambient:
         for c in coeffs:
             p = getattr(c, "representative", c)
             target = self.eta_eps(p)
-            defects.append(self.convolve(self.antipode, identity_op)(p) - target)
-            defects.append(self.convolve(identity_op, self.antipode)(p) - target)
+            delta = self.coproduct(p)
+            defects.append(self._graft_tensor(self.antipode, identity_op, delta) - target)
+            defects.append(self._graft_tensor(identity_op, self.antipode, delta) - target)
         levels = [self._level_of(d.terms) for d in defects]
         best = 0
         for d, level in zip(defects, levels):

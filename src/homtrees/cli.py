@@ -373,6 +373,9 @@ def run(argv=None) -> int:
         sys.stderr.write("inconclusive: input nested deeper than the recursion limit (%d frames)\n"
                          % sys.getrecursionlimit())
         return EXIT_INCONCLUSIVE
+    except KeyError as exc:  # an unknown basis symbol; str() would quote the message
+        sys.stderr.write("error: %s\n" % exc.args[0])
+        return EXIT_USAGE
     except (OSError, ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE

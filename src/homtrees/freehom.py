@@ -10,7 +10,9 @@ yields the free Hom-associative algebra with one generator.  This
 module holds a complete equality oracle for the quotient and
 FreeAmbient, which carries the Hom-Hopf structure of ambient.Ambient
 (coproduct by leaf-subset restriction, counit, antipode by signed
-mirror) over it; the module-level maps delegate to that ambient.
+mirror) over it; the module-level maps delegate to that ambient.  parse_poly and
+format_poly read and write elements of 𝕋 as ±-sums of `[coef*] tree`
+terms over the codec's trees.Reader.
 
 The oracle rests on a grading.  Assign each leaf the value s_i =
 weight_i + depth_i.  Both sides of the ideal generator have the same
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -58,7 +59,9 @@ from .linalg import LinComb, Membership, TruncSeries, frac
 from .trees import (
     Leaf,
     Node,
+    Reader,
     alpha_shift,
+    codec_leaf,
     enumerate_class,
     is_unit,
     leaf_count,
@@ -468,49 +471,20 @@ def format_poly(p: TreePoly) -> str:
 
 
 def parse_poly(text: str) -> TreePoly:
-    """Inverse of format_poly; accepts any +/- separated `coef*tree` list.
+    """Inverse of format_poly: a ±-sum of `[coef*] ('1' | tree)` terms.
 
-    Tree texts contain no '+', '-' or '*', so those characters split and
-    scale terms unambiguously; a leading '-' negates the first term.
+    A leading '-' negates the first term; ParseError positions are
+    offsets into the whole text.
     """
-    from .trees import ParseError
 
-    terms = []
-    i = 0
-    first = True
-    while i < len(text):
-        while i < len(text) and text[i] == " ":
-            i += 1
-        if i >= len(text):
-            break
-        sign = 1
-        if text[i] in "+-":
-            if text[i] == "-":
-                sign = -1
-            i += 1
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", i)
-        while i < len(text) and text[i] == " ":
-            i += 1
-        start = i
-        while i < len(text) and text[i] not in "+-":
-            i += 1
-        chunk = text[start:i].strip()
-        if not chunk:
-            raise ParseError("missing term", start)
-        if "*" in chunk:
-            coef_text, _, tree_text = chunk.partition("*")
-            try:
-                coeff = Fraction(coef_text.strip())
-            except (ValueError, ZeroDivisionError):
-                raise ParseError("bad coefficient %r" % coef_text.strip(), start) from None
-            tree_text = tree_text.strip()
-        else:
-            coeff = Fraction(1)
-            tree_text = chunk
-        element = parse(tree_text)
-        terms.append((to_text(element), sign * coeff))
-        first = False
-    if first:
-        raise ParseError("empty expression", 0)
-    return LinComb(terms)
+    def term(r: Reader, sign: int) -> tuple:
+        coeff = sign * r.coefficient()
+        if r.at_unit():
+            r.pos += 1
+            return "1", coeff
+        return to_text(r.tree(codec_leaf)), coeff
+
+    r = Reader(text)
+    out = LinComb(r.sum(term))
+    r.end()
+    return out

@@ -12,7 +12,9 @@ Structure constants are supplied for i < j only; skew-symmetry is
 synthesized.  The α matrix is stored row-per-image: row i holds the
 coordinates of α(e_i).
 
-Elements are plain tuples of Fractions in basis coordinates.
+Elements are plain tuples of Fractions in basis coordinates; as text
+they are ±-sums of `[coef*] symbol` terms, read over trees.Reader by
+parse_element and, inside a U𝔤 decoration, by read_element.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .linalg import LinComb, RowSpace, frac
+from .trees import Reader
 
 Coords = tuple
 
@@ -272,46 +275,34 @@ def nilpotent_kernel(g: HomLieAlgebra):
 # parsing
 
 
-def parse_element(g: HomLieAlgebra, text: str) -> Coords:
-    """Read a rational combination of basis symbols: "E + 2*H - 1/2*F"."""
+def read_symbol(g: HomLieAlgebra, r: Reader) -> int:
+    """The basis index of the name at the cursor; KeyError (cursor on the name) if unknown."""
+    start = r.pos
+    name = r.name()
+    if not name:
+        r.error("expected a basis symbol")
+    if name not in g.basis:
+        r.pos = start
+    return g.index_of(name)
+
+
+def read_element(g: HomLieAlgebra, r: Reader) -> Coords:
+    """A ±-sum of `[coef*] symbol` terms, up to the end of the text or a ')'."""
     out = [Fraction(0)] * g.dim
-    i = 0
-    first = True
-    text = text.strip()
-    if not text:
-        raise ValueError("empty element expression")
-    while i < len(text):
-        while i < len(text) and text[i] == " ":
-            i += 1
-        if i >= len(text):
-            break
-        sign = 1
-        if text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i += 1
-        elif not first:
-            raise ValueError("expected '+' or '-' at position %d" % i)
-        while i < len(text) and text[i] == " ":
-            i += 1
-        start = i
-        while i < len(text) and text[i] not in "+-":
-            i += 1
-        chunk = text[start:i].strip()
-        if not chunk:
-            raise ValueError("missing term at position %d" % start)
-        if "*" in chunk:
-            coef_text, _, symbol = chunk.partition("*")
-            coeff = Fraction(coef_text.strip())
-            symbol = symbol.strip()
-        elif chunk[0].isdigit() and chunk.replace("/", "").isdigit():
-            raise ValueError("bare scalar %r has no basis symbol" % chunk)
-        else:
-            coeff, symbol = Fraction(1), chunk
-        if " " in symbol:
-            raise ValueError("expected '+' or '-' between terms, got %r" % symbol)
-        out[g.index_of(symbol)] += sign * coeff
-        first = False
+    for coeff, i in r.sum(lambda r, sign: (sign * r.coefficient(), read_symbol(g, r))):
+        out[i] += coeff
     return tuple(out)
+
+
+def parse_element(g: HomLieAlgebra, text: str) -> Coords:
+    """Read a rational combination of basis symbols: "E + 2*H - 1/2*F".
+
+    Malformed text raises ParseError; an unknown symbol raises KeyError.
+    """
+    r = Reader(text)
+    out = read_element(g, r)
+    r.end()
+    return out
 
 
 def load_algebra(source: Union[str, dict]) -> HomLieAlgebra:
@@ -326,6 +317,8 @@ def load_algebra(source: Union[str, dict]) -> HomLieAlgebra:
             data = json.load(fh)
     else:
         data = source
+    if not isinstance(data, dict) or not {"basis", "alpha"} <= data.keys():
+        raise ValueError("an algebra needs a 'basis' and an 'alpha'")
     basis = list(data["basis"])
     dim = len(basis)
 

@@ -17,17 +17,21 @@ Codec grammar:
     t    := "1" | leaf | "(" t " " t ")"
     leaf := weight (":" name)?
 
-with weight a base-10 non-negative integer and name an identifier.  A
-bare "1" always denotes the unit, so the undecorated weight-1 one-leaf
-tree is written "01" (the parser accepts leading zeros in any weight).
-Inside parentheses "1" is an ordinary leaf.
+with weight a run of decimal digits and name an identifier.  A bare "1"
+always denotes the unit, so the undecorated weight-1 one-leaf tree is
+written "01" (the parser accepts leading zeros in any weight).  Inside
+parentheses "1" is an ordinary leaf.
+
+Reader is the one cursor that every expression of the package is read
+with: this codec and the readers of freehom, ueg and homlie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 
 class DecorationMismatch(ValueError):
@@ -296,15 +300,15 @@ def to_text(t: Element) -> str:
     return _render(t)
 
 
-def _is_name_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+class Reader:
+    """A cursor over one text, holding the tokens every expression reader shares.
 
+    Each reader in the package is a short grammar over these methods:
+    tree(leaf) reads the grafting structure and hands each leaf to the
+    callback, sum(term) reads ±-separated terms.  Only spaces separate
+    tokens, and every ParseError position is an offset into the text.
+    """
 
-def _is_name_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
-class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -312,60 +316,138 @@ class _Parser:
     def error(self, message: str):
         raise ParseError(message, self.pos)
 
-    def skip_spaces(self) -> int:
-        count = 0
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
-            count += 1
-        return count
+    def peek(self) -> str:
+        """The next character, or "" at the end of the text."""
+        return self.text[self.pos:self.pos + 1]
 
-    def parse_term(self) -> Tree:
+    def spaces(self) -> int:
+        """Step over spaces; return how many there were."""
+        text, start = self.text, self.pos
+        pos = start
+        while pos < len(text) and text[pos] == " ":
+            pos += 1
+        self.pos = pos
+        return pos - start
+
+    def name(self) -> str:
+        """An identifier (a letter or '_', then letters, digits or '_'), or "" if none starts here."""
+        text, start = self.text, self.pos
+        if not (self.peek().isalpha() or self.peek() == "_"):
+            return ""
+        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
+            self.pos += 1
+        return text[start:self.pos]
+
+    def number(self) -> Optional[int]:
+        """A run of decimal digits as an int, or None if none starts here."""
+        text, start = self.text, self.pos
+        pos = start
+        while pos < len(text) and text[pos].isdecimal():
+            pos += 1
+        if pos == start:
+            return None
+        self.pos = pos
+        return int(text[start:pos])
+
+    def coefficient(self) -> Fraction:
+        """A `N*`, `N/D*` or `N.D*` prefix, spaces allowed around '*', or 1 if there is none.
+
+        Without a '*' after the number the cursor stays put, so the
+        digits are read again as a leaf weight or the unit.
+        """
+        start = self.pos
+        if self.number() is None:
+            return Fraction(1)
+        mark = self.peek()
+        if mark in ("/", "."):
+            self.pos += 1
+            digits = self.pos
+            low = self.number()
+            if low is None or low == 0 and mark == "/":
+                self.pos = digits
+                self.error("expected %s after %r" % ("a nonzero denominator" if mark == "/" else "digits", mark))
+        value = self.text[start:self.pos]
+        self.spaces()
+        if self.peek() != "*":
+            self.pos = start
+            return Fraction(1)
+        self.pos += 1
+        self.spaces()
+        return Fraction(value)
+
+    def at_unit(self) -> bool:
+        """Whether a bare "1", the unit 𝟙, starts here rather than a leaf."""
+        return self.peek() == "1" and self.text[self.pos + 1:self.pos + 2] in ("", " ", "+", "-", ")")
+
+    def tree(self, leaf: Callable) -> Tree:
+        """t := leaf | "(" t " "+ t ")", with spaces allowed inside the parentheses.
+
+        leaf(self) reads one leaf.  This takes one frame per nesting
+        level, so the recursion limit bounds how deep a text may nest.
+        """
         if self.pos >= len(self.text):
             self.error("unexpected end of input")
-        c = self.text[self.pos]
-        if c == "(":
-            self.pos += 1
-            self.skip_spaces()
-            left = self.parse_term()
-            if self.skip_spaces() == 0:
-                self.error("expected space between subtrees")
-            right = self.parse_term()
-            self.skip_spaces()
-            if self.pos >= len(self.text) or self.text[self.pos] != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return Node(left, right)
-        if c.isdigit():
-            return self.parse_leaf()
-        self.error("expected '(' or a leaf weight")
+        if self.text[self.pos] != "(":
+            return leaf(self)
+        self.pos += 1
+        self.spaces()
+        left = self.tree(leaf)
+        if not self.spaces():
+            self.error("expected space between subtrees")
+        right = self.tree(leaf)
+        self.spaces()
+        if self.pos >= len(self.text) or self.text[self.pos] != ")":
+            self.error("expected ')'")
+        self.pos += 1
+        return Node(left, right)
 
-    def parse_leaf(self) -> Leaf:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        weight = int(self.text[start:self.pos])
-        name = None
-        if self.pos < len(self.text) and self.text[self.pos] == ":":
-            self.pos += 1
-            if self.pos >= len(self.text) or not _is_name_start(self.text[self.pos]):
-                self.error("expected a decoration name after ':'")
-            nstart = self.pos
-            while self.pos < len(self.text) and _is_name_char(self.text[self.pos]):
+    def sum(self, term: Callable) -> list:
+        """What term(self, sign) returns for each ±-separated term, up to the end or a ')'.
+
+        The sign of the first term may be left out.
+        """
+        out = []
+        self.spaces()
+        while self.peek() not in ("", ")"):
+            mark = self.peek()
+            if mark in ("+", "-"):
                 self.pos += 1
-            name = self.text[nstart:self.pos]
-        return Leaf(weight, name)
+                self.spaces()
+            elif out:
+                self.error("expected '+' or '-' between terms")
+            out.append(term(self, -1 if mark == "-" else 1))
+            self.spaces()
+        if not out:
+            self.error("empty expression")
+        return out
+
+    def end(self) -> None:
+        if self.pos != len(self.text):
+            self.error("unexpected trailing input")
+
+
+def codec_leaf(r: Reader) -> Leaf:
+    """leaf := weight (":" name)?"""
+    weight = r.number()
+    if weight is None:
+        r.error("expected '(' or a leaf weight")
+    if not r.text.startswith(":", r.pos):
+        return Leaf(weight)
+    r.pos += 1
+    name = r.name()
+    if not name:
+        r.error("expected a decoration name after ':'")
+    return Leaf(weight, name)
 
 
 @lru_cache(maxsize=None)
 def parse(text: str) -> Element:
     """Inverse of to_text.  Raises ParseError (with .position) on bad input."""
-    stripped = text.strip(" ")
-    if stripped == "1":
+    if text.strip(" ") == "1":
         return UNIT
-    p = _Parser(text)
-    p.skip_spaces()
-    term = p.parse_term()
-    p.skip_spaces()
-    if p.pos != len(text):
-        p.error("unexpected trailing input")
-    return term
+    r = Reader(text)
+    r.spaces()
+    out = r.tree(codec_leaf)
+    r.spaces()
+    r.end()
+    return out

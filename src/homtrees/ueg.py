@@ -6,7 +6,9 @@ w decorated by x is absorbed into weight 0 decorated by α^w(x),
 expanded multilinearly over the algebra basis, so every stored key is a
 zero-weight decorated tree (or the unit).  That absorption is the
 settle step of UEAmbient, which carries the Hom-Hopf structure of
-ambient.Ambient over U𝔤.
+ambient.Ambient over U𝔤.  parse_u_poly reads U𝔤 expressions over
+trees.Reader: the polynomial grammar of freehom with leaves WEIGHT:NAME
+or WEIGHT:(element), the element read by homlie at the same cursor.
 
 The enveloping quotient divides by two row families:
 
@@ -42,17 +44,18 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Optional
 
 from .ambient import Ambient, OracleInconclusive
-from .homlie import HomLieAlgebra, HomLieMorphism, validate_morphism
+from .homlie import HomLieAlgebra, HomLieMorphism, read_element, read_symbol, validate_morphism
 from .linalg import LinComb, RowSpace
 from .trees import (
     Leaf,
     Node,
+    ParseError,
+    Reader,
     decorations_of,
     enumerate_shapes,
     is_unit,
@@ -534,159 +537,46 @@ def ue_map(m: HomLieMorphism) -> Callable:
 
 
 
-class _UExprParser:
-    """Recursive descent for U𝔤 expressions.
+def parse_u_poly(g: HomLieAlgebra, text: str) -> UPoly:
+    """A ±-sum of `[coef*] ('1' | tree)` terms whose leaves are `WEIGHT ':' decoration`.
 
-    poly  := ['-'] term (('+'|'-') term)*
-    term  := [RATIONAL '*'] tree
-    tree  := '1' | WEIGHT ':' decoration | '(' tree ' '+ tree ')'
-    decoration := NAME | '(' element ')'
-
-    Decorations may be rational-linear combinations of basis names in
-    parentheses; they are expanded multilinearly at parse time, and leaf
-    weights are absorbed through α, so the result is a plain UPoly.
+    A decoration is a basis name or a parenthesised element of 𝔤
+    (`0:(E + 2*H)`); it is expanded multilinearly and the leaf weight is
+    absorbed through α, so the result is a plain UPoly.  Malformed text
+    and unknown symbols raise ParseError.
     """
 
-    def __init__(self, g: HomLieAlgebra, text: str):
-        self.g = g
-        self.text = text
-        self.pos = 0
+    def term(r: Reader, sign: int) -> list:
+        coeff = sign * r.coefficient()
+        if r.at_unit():
+            r.pos += 1
+            return [("1", coeff)]
+        vectors: list = []
 
-    def error(self, message: str):
-        from .trees import ParseError
-
-        raise ParseError(message, self.pos)
-
-    def skip_spaces(self):
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def parse_poly(self) -> UPoly:
-        total = LinComb.zero()
-        first = True
-        while True:
-            self.skip_spaces()
-            if self.at_end():
-                break
-            sign = 1
-            c = self.text[self.pos]
-            if c in "+-":
-                if c == "-":
-                    sign = -1
-                self.pos += 1
-            elif not first:
-                self.error("expected '+' or '-' between terms")
-            self.skip_spaces()
-            total = total + sign * self.parse_term()
-            first = False
-        if first:
-            self.error("empty expression")
-        return total
-
-    def parse_term(self) -> UPoly:
-        coeff = Fraction(1)
-        start = self.pos
-        number = self._try_number()
-        if number is not None:
-            self.skip_spaces()
-            if not self.at_end() and self.text[self.pos] == "*":
-                self.pos += 1
-                self.skip_spaces()
-                coeff = number
+        def leaf(r: Reader) -> Leaf:
+            weight = r.number()
+            if weight is None or r.peek() != ":":
+                r.error("expected a leaf WEIGHT:decoration (the unit 1 is a term of its own)")
+            r.pos += 1
+            if r.peek() == "(":
+                r.pos += 1
+                vectors.append(read_element(g, r))
+                if r.peek() != ")":
+                    r.error("expected ')'")
+                r.pos += 1
             else:
-                self.pos = start  # a leaf weight or the unit, not a coefficient
-        if (not self.at_end() and self.text[self.pos] == "1"
-                and (self.pos + 1 == len(self.text) or self.text[self.pos + 1] in " +-")):
-            self.pos += 1
-            return coeff * unit_upoly()
-        tree, vectors = self.parse_tree()
-        return coeff * decorate_expand(self.g, tree, vectors)
+                vectors.append(g.basis_vector(read_symbol(g, r)))
+            return Leaf(weight)
 
-    def _try_number(self):
-        start = self.pos
-        end = self.pos
-        text = self.text
-        while end < len(text) and text[end].isdigit():
-            end += 1
-        if end == start:
-            return None
-        if end < len(text) and text[end] == "/":
-            den_end = end + 1
-            while den_end < len(text) and text[den_end].isdigit():
-                den_end += 1
-            if den_end == end + 1:
-                self.pos = end + 1
-                self.error("missing denominator")
-            self.pos = den_end
-            return Fraction(int(text[start:end]), int(text[end + 1:den_end]))
-        self.pos = end
-        return Fraction(int(text[start:end]))
+        return _expand(g, r.tree(leaf), vectors, coeff)
 
-    def parse_tree(self):
-        self.skip_spaces()
-        if self.at_end():
-            self.error("expected a tree")
-        c = self.text[self.pos]
-        if c == "(":
-            self.pos += 1
-            left, lv = self.parse_tree()
-            if self.at_end() or self.text[self.pos] != " ":
-                self.error("expected a space between subtrees")
-            right, rv = self.parse_tree()
-            self.skip_spaces()
-            if self.at_end() or self.text[self.pos] != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return Node(left, right), lv + rv
-        if c == "1" and (self.pos + 1 == len(self.text) or self.text[self.pos + 1] in " )+-"):
-            self.error("the unit cannot appear inside a tree; write it as its own term")
-        weight = self._try_number()
-        if weight is None:
-            self.error("expected '(', a weight, or the unit")
-        if weight.denominator != 1:
-            self.error("leaf weights are whole numbers")
-        if self.at_end() or self.text[self.pos] != ":":
-            self.error("expected ':' after a leaf weight")
-        self.pos += 1
-        return Leaf(int(weight)), [self.parse_decoration()]
-
-    def parse_decoration(self):
-        from .homlie import parse_element
-
-        if self.at_end():
-            self.error("expected a decoration")
-        c = self.text[self.pos]
-        if c == "(":
-            close = self.text.find(")", self.pos)
-            if close < 0:
-                self.error("unclosed decoration")
-            body = self.text[self.pos + 1:close]
-            try:
-                coords = parse_element(self.g, body)
-            except (ValueError, KeyError) as exc:
-                self.error("bad decoration: %s" % exc)
-            self.pos = close + 1
-            return coords
-        start = self.pos
-        if not (c.isalpha() or c == "_"):
-            self.error("expected a basis name or a parenthesised element")
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        name = self.text[start:self.pos]
-        try:
-            return self.g.basis_vector(self.g.index_of(name))
-        except KeyError:
-            self.pos = start
-            self.error("unknown basis symbol %r" % name)
-
-
-def parse_u_poly(g: HomLieAlgebra, text: str) -> UPoly:
-    """U𝔤 expression → UPoly, decorations expanded and weights absorbed."""
-    parser = _UExprParser(g, text)
-    return parser.parse_poly()
+    r = Reader(text)
+    try:
+        terms = r.sum(term)
+    except KeyError as exc:
+        raise ParseError(exc.args[0], r.pos) from None
+    r.end()
+    return LinComb(pair for pairs in terms for pair in pairs)
 
 
 def u_power_product(g: HomLieAlgebra, x, i: int, p: int) -> UPoly:

@@ -174,6 +174,36 @@ def test_exp_bad_scalar(capsys):
     assert code == 2
 
 
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_exp_unknown_element_symbol_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "exp", "--scalar", "1", "--algebra", SL2, "--element", "Q")
+    assert_one_error_line(code, out, err)
+    assert "unknown basis symbol 'Q'" in err
+
+
+@pytest.mark.parametrize("missing", ["alpha", "basis"])
+@pytest.mark.parametrize("command", ["validate", "equal", "grouplike-check"])
+def test_an_algebra_without_alpha_or_basis_is_a_usage_error(capsys, tmp_path, command, missing):
+    algebra = {"name": "aff1", "basis": ["x", "y"], "bracket": {"x,y": {"y": "1"}},
+               "alpha": [["1", "0"], ["0", "1"]]}
+    del algebra[missing]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra))
+    sequence = tmp_path / "sequence.json"
+    sequence.write_text(json.dumps({"bound": 0, "orders": [["1"]], "algebra": algebra}))
+    argv = {
+        "validate": ["validate", str(path)],
+        "equal": ["equal", "--algebra", str(path), "--lhs", "0:x", "--rhs", "0:x"],
+        "grouplike-check": ["grouplike-check", "--file", str(sequence)],
+    }[command]
+    assert_one_error_line(*run(capsys, *argv))
+
+
 @pytest.mark.parametrize("joined", [
     ("--machine", "exp", "--scalar=-1/2", "--order", "2"),
     ("--machine", "nf", "--expr=-((0 0) 01)"),

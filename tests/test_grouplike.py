@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from homtrees.ambient import OracleInconclusive
-from homtrees.freehom import FreeAmbient, format_poly
+from homtrees.ambient import IndexSearch, OracleInconclusive, identity_op
+from homtrees.freehom import FreeAmbient, format_poly, parse_poly
 from homtrees.grouplike import (
     GroupLikeSequence,
     SeriesElement,
@@ -26,6 +26,7 @@ from homtrees.grouplike import (
 )
 from homtrees.homlie import make_algebra, nilpotent_kernel, twist
 from homtrees.linalg import LinComb, TruncSeries
+from homtrees.suites import DEEP_COUNTEREXAMPLE
 from homtrees.ueg import UEAmbient, u_power_product, ue_map
 
 
@@ -420,3 +421,53 @@ def test_load_sequence_errors():
         load_sequence({"orders": []})
     with pytest.raises(ValueError):
         load_sequence({"orders": [["1", "0"]]})  # g_0 must have exactly 1 coefficient
+
+
+# ------------------------------------------------------------ index search
+
+
+def index_by_two_convolutions(amb, x, max_k=8):
+    """The index search as it was, each defect through its own convolution (so Δ twice)."""
+    coeffs = x.coeffs if isinstance(x, TruncSeries) else (x,)
+    defects = []
+    for p in coeffs:
+        target = amb.eta_eps(p)
+        defects.append(amb.convolve(amb.antipode, identity_op)(p) - target)
+        defects.append(amb.convolve(identity_op, amb.antipode)(p) - target)
+    levels = [amb._level_of(d.terms) for d in defects]
+    best = 0
+    for d, level in zip(defects, levels):
+        k = 0
+        while not amb.is_zero(d, level):
+            if k >= max_k:
+                return IndexSearch(False, None, max_k, level)
+            d = amb.alpha(d)
+            k += 1
+        best = max(best, k)
+    return IndexSearch(True, best, max_k, None if None in levels else max(levels))
+
+
+@pytest.mark.parametrize("ambient", ["free", "sl2"])
+def test_index_search_takes_one_coproduct_per_coefficient(ambient):
+    calls = []
+    if ambient == "free":
+        base, args = FreeAmbient, ()
+        deep = parse_poly(DEEP_COUNTEREXAMPLE)
+        cases = [(deep, 0), (deep, 8)]
+    else:
+        g = sl2_twisted()
+        base, args = UEAmbient, (g, g.basis_vector(0))
+        cases = []
+
+    class Counting(base):
+        def coproduct(self, p):
+            calls.append(p)
+            return base.coproduct(self, p)
+
+    for series in exp_sequence(Fraction(1, 2), 3, base(*args)).terms:
+        cases += [(series, 8)] + [(c, 8) for c in series.coeffs]
+    for x, max_k in cases:
+        calls.clear()
+        found = Counting(*args).invertibility_index(x, max_k=max_k)
+        assert len(calls) == len(x.coeffs if isinstance(x, TruncSeries) else [x])
+        assert found == index_by_two_convolutions(base(*args), x, max_k)
