@@ -3,7 +3,7 @@
 Both quotients in this package divide the same tree algebra: 𝕋/I keeps
 leaf weights and is exactly graded, U𝔤 decorates the leaves and absorbs
 every weight into its decoration through α.  Their Hom-Hopf maps agree
-up to one step.  Grafting, α and restriction produce a tree; *settling*
+up to one step.  Grafting, α and splitting produce a tree; *settling*
 turns that tree into stored keys: 𝕋/I renders it as it is, U𝔤 expands
 it over the algebra basis with the weights absorbed.
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .linalg import LinComb, TruncSeries
-from .trees import alpha_shift, graft, is_unit, leaf_count, mirror, parse, restrict, to_text
+from .trees import alpha_shift, graft, is_unit, leaf_count, mirror, parse, splits, to_text
 
 
 class OracleInconclusive(RuntimeError):
@@ -104,22 +104,15 @@ class Ambient:
     def coproduct(self, p: LinComb) -> LinComb:
         """Δ: a basis tree goes to Σ φ_I ⊗ φ_J over the splits of its leaf set.
 
-        Restriction shifts surviving weights through the unit rule and
-        settling stores them; Δ𝟙 = 𝟙⊗𝟙.
+        Δ(φ∨ψ) = Δφ ∨ Δψ, and trees.splits computes it that way; its unit
+        rule shifts surviving weights and settling stores them.  Δ𝟙 = 𝟙⊗𝟙.
         """
         out = []
         for key, coeff in p.items():
-            t = parse(key)
-            if is_unit(t):
-                out.append((("1", "1"), coeff))
-                continue
-            n = leaf_count(t)
-            for mask in range(2 ** n):
-                keep = [i for i in range(1, n + 1) if mask & (1 << (i - 1))]
-                drop = [i for i in range(1, n + 1) if not mask & (1 << (i - 1))]
-                right = self._settle(restrict(t, drop), 1)
-                for lk, lc in self._settle(restrict(t, keep), coeff):
-                    for rk, rc in right:
+            for left, right in splits(parse(key)):
+                settled = self._settle(right, 1)
+                for lk, lc in self._settle(left, coeff):
+                    for rk, rc in settled:
                         out.append(((lk, rk), lc * rc))
         return LinComb(out)
 

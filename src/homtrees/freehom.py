@@ -9,7 +9,7 @@ structure map α.  Dividing by the two-sided ideal I generated by
 yields the free Hom-associative algebra with one generator.  This
 module holds a complete equality oracle for the quotient and
 FreeAmbient, which carries the Hom-Hopf structure of ambient.Ambient
-(coproduct by leaf-subset restriction, counit, antipode by signed
+(coproduct by splitting the leaf set, counit, antipode by signed
 mirror) over it; the module-level maps delegate to that ambient.  parse_poly and
 format_poly read and write elements of 𝕋 as ±-sums of `[coef*] tree`
 terms over the codec's trees.Reader.
@@ -109,25 +109,20 @@ def graded_decompose(p: TreePoly) -> dict:
 
 
 def _rewrites(t: Node) -> list:
-    """All single-node Hom-associativity rewrites of t.
+    """All single-node Hom-associativity rewrites of t, in preorder.
 
     A node carrying (A∨B)∨C with min weight of C ≥ 1 may be replaced by
-    α(A)∨(B∨C↓).  Returns the full rewritten trees.
+    α(A)∨(B∨C↓).  Returns the full rewritten trees: the root's own
+    rewrite, then the left child's rewrites, then the right child's.
     """
-    results = []
-
-    def walk(node, rebuild):
-        if isinstance(node, Leaf):
-            return
-        if isinstance(node.left, Node) and min(weights_of(node.right)) >= 1:
-            a, b = node.left.left, node.left.right
-            replacement = Node(alpha_shift(a), Node(b, alpha_shift(node.right, -1)))
-            results.append(rebuild(replacement))
-        walk(node.left, lambda r, node=node, rebuild=rebuild: rebuild(Node(r, node.right)))
-        walk(node.right, lambda r, node=node, rebuild=rebuild: rebuild(Node(node.left, r)))
-
-    walk(t, lambda r: r)
-    return results
+    if isinstance(t, Leaf):
+        return []
+    out = []
+    if isinstance(t.left, Node) and min(weights_of(t.right)) >= 1:
+        out.append(Node(alpha_shift(t.left.left), Node(t.left.right, alpha_shift(t.right, -1))))
+    out.extend(Node(r, t.right) for r in _rewrites(t.left))
+    out.extend(Node(t.left, r) for r in _rewrites(t.right))
+    return out
 
 
 class ClassComponents:

@@ -7,10 +7,10 @@ distinguished unit 𝟙 lives alongside the trees but is *not* the weight-0
 one-leaf tree.
 
 Core operations: grafting (with the unit rule φ∨𝟙 = 𝟙∨φ = α(φ)), the
-weight shift α that adds one to every leaf weight, the restriction of a
-tree to a subset of its leaves, the per-leaf s-signature s_i = weight_i
-+ depth_i used as the grading for the quotient oracle, shape and class
-enumeration, and a canonical text codec.
+weight shift α that adds one to every leaf weight, the splits (φ_I, φ_J)
+of a tree over the subsets I of its leaves, the per-leaf s-signature
+s_i = weight_i + depth_i used as the grading for the quotient oracle,
+shape and class enumeration, and a canonical text codec.
 
 Codec grammar:
 
@@ -116,12 +116,10 @@ def decorations_of(t: Tree) -> tuple[Optional[str], ...]:
 
 
 def _decoration_state(t: Tree) -> str:
-    names = decorations_of(t)
-    if all(n is None for n in names):
-        return "plain"
-    if all(n is not None for n in names):
-        return "decorated"
-    return "mixed"
+    if isinstance(t, Leaf):
+        return "plain" if t.name is None else "decorated"
+    left = _decoration_state(t.left)
+    return left if left == _decoration_state(t.right) else "mixed"
 
 
 def depths(t: Tree) -> tuple[int, ...]:
@@ -169,27 +167,21 @@ def graft(l: Element, r: Element) -> Element:
     return Node(l, r)
 
 
-def restrict(t: Tree, keep: Iterable[int]) -> Element:
-    """φ_I: replace the leaves outside I (1-based positions) by 𝟙 and simplify.
+def splits(t: Element) -> list:
+    """The pairs (φ_I, φ_J) over the subsets I of t's leaves, J the rest.
 
-    The unit rule inside graft performs the weight shifts, so every
-    retained leaf keeps its s-signature value.
+    φ_I replaces the leaves outside I by 𝟙 and simplifies; the unit rule
+    inside graft performs the weight shifts, so every retained leaf keeps
+    its s-signature value.  Pairs come in mask order, leaf i being bit
+    i−1 of I: a node grafts its children's splits, the right child's in
+    the outer loop.
     """
-    n = leaf_count(t)
-    keepset = set(keep)
-    bad = [i for i in keepset if not 1 <= i <= n]
-    if bad:
-        raise ValueError("leaf positions out of range 1..%d: %r" % (n, sorted(bad)))
-
-    def go(node: Tree, start: int) -> tuple[Element, int]:
-        if isinstance(node, Leaf):
-            return (node if start in keepset else UNIT), start + 1
-        left, mid = go(node.left, start)
-        right, end = go(node.right, mid)
-        return graft(left, right), end
-
-    out, _ = go(t, 1)
-    return out
+    if is_unit(t):
+        return [(UNIT, UNIT)]
+    if isinstance(t, Leaf):
+        return [(UNIT, t), (t, UNIT)]
+    left = splits(t.left)
+    return [(graft(li, ri), graft(lj, rj)) for ri, rj in splits(t.right) for li, lj in left]
 
 
 def mirror(t: Element) -> Element:
@@ -216,12 +208,6 @@ def with_weights(shape: Shape, weights: Iterable[int], names: Optional[Iterable[
         return Node(go(node.left), go(node.right))
 
     return go(shape)
-
-
-def shape_of(t: Tree) -> Shape:
-    if isinstance(t, Leaf):
-        return Leaf(0)
-    return Node(shape_of(t.left), shape_of(t.right))
 
 
 @lru_cache(maxsize=None)

@@ -124,6 +124,13 @@ def test_coproduct_output(capsys):
     assert out.strip() == "(0 0)⊗1 + 2*01⊗01 + 1⊗(0 0)"
 
 
+@pytest.mark.parametrize("expr", ["(0:x 0)", "((0:x 0:y) (0 0))"])
+def test_coproduct_of_a_mixed_tree_is_a_usage_error(capsys, expr):
+    code, out, err = run(capsys, "coproduct", "--expr", expr)
+    assert_one_error_line(code, out, err)
+    assert err == "error: cannot graft decorated and undecorated trees\n"
+
+
 def test_antipode_output(capsys):
     code, out, _ = run(capsys, "antipode", "--expr", "(0 (0 0))")
     assert code == 0

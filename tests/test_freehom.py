@@ -32,6 +32,7 @@ from homtrees.freehom import (
     reduce_tensor,
     right_fern,
     tree_poly,
+    _rewrites,
     u_element,
     unit_poly,
 )
@@ -39,11 +40,15 @@ from homtrees.linalg import LinComb, RowSpace, TruncSeries
 from homtrees.trees import (
     UNIT,
     Leaf,
+    Node,
     ParseError,
+    alpha_shift,
+    enumerate_class,
     enumerate_shapes,
     graft,
     parse,
     to_text,
+    weights_of,
     with_weights,
 )
 
@@ -234,6 +239,43 @@ def test_class_components_agree_with_row_space_elimination():
                     assert _replay(ctx, answer.certificate) == w
                 else:
                     assert answer.residual == expected.residual
+
+
+def reference_rewrites(t):
+    """The earlier closure-chain rewriter: each hit rebuilds t through its ancestors."""
+    results = []
+
+    def walk(node, rebuild):
+        if isinstance(node, Leaf):
+            return
+        if isinstance(node.left, Node) and min(weights_of(node.right)) >= 1:
+            a, b = node.left.left, node.left.right
+            replacement = Node(alpha_shift(a), Node(b, alpha_shift(node.right, -1)))
+            results.append(rebuild(replacement))
+        walk(node.left, lambda r, node=node, rebuild=rebuild: rebuild(Node(r, node.right)))
+        walk(node.right, lambda r, node=node, rebuild=rebuild: rebuild(Node(node.left, r)))
+
+    walk(t, lambda r: r)
+    return results
+
+
+def test_rewrites_match_the_closure_chain_reference():
+    rng = random.Random(20261020)
+    seen = set()
+    trees = rewritten = 0
+    while len(seen) < 300:
+        n = rng.randint(1, 7)
+        s = tuple(rng.randint(0, n + 1) for _ in range(n))
+        if s in seen or not enumerate_class(n, s):
+            continue
+        seen.add(s)
+        for t in enumerate_class(n, s):
+            decorated = with_weights(t, weights_of(t), [rng.choice("xyz") for _ in range(n)])
+            for tree in (t, decorated):
+                assert _rewrites(tree) == reference_rewrites(tree), tree
+                trees += 1
+                rewritten += len(_rewrites(tree))
+    assert trees > 2000 and rewritten > 2000
 
 
 def test_equal_mod_I_hom_associativity_small():

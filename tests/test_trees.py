@@ -17,8 +17,8 @@ from homtrees.trees import (
     leaf_count,
     mirror,
     parse,
-    restrict,
     s_signature,
+    splits,
     to_text,
     weights_of,
     with_weights,
@@ -76,17 +76,17 @@ def test_unit_is_not_the_weight_zero_leaf():
     assert not is_unit(Leaf(0))
 
 
+def restrict(t, keep):
+    """φ_I as the mask-th first half of splits(t), leaf i being bit i−1."""
+    return splits(t)[sum(1 << (i - 1) for i in keep)][0]
+
+
 def test_restrict_worked_example():
     # shape ((1 v 2) v 3) v (4 v (5 v 6)), weights (2,4,0,3,1,2)
     t = Node(Node(Node(Leaf(2), Leaf(4)), Leaf(0)), Node(Leaf(3), Node(Leaf(1), Leaf(2))))
     assert to_text(restrict(t, {3, 5, 6})) == "(1 (2 3))"
     assert restrict(t, set()) is UNIT
     assert restrict(t, {1, 2, 3, 4, 5, 6}) == t
-
-
-def test_restrict_rejects_bad_positions():
-    with pytest.raises(ValueError):
-        restrict(Leaf(0), {2})
 
 
 def test_restrict_preserves_retained_s_values():
@@ -100,6 +100,17 @@ def test_restrict_preserves_retained_s_values():
             keep = [i + 1 for i in range(n) if mask & (1 << i)]
             out = restrict(t, keep)
             assert s_signature(out) == tuple(full[i - 1] for i in keep)
+
+
+def test_splits_pair_each_subset_with_its_complement():
+    # s-values (2, 4, 2): each kept leaf keeps its value in both halves
+    t = parse("((0 2) 1)")
+    assert [(to_text(a), to_text(b)) for a, b in splits(t)] == [
+        ("1", "((0 2) 1)"), ("2", "(3 1)"), ("4", "(1 1)"), ("(1 3)", "2"),
+        ("2", "(1 3)"), ("(1 1)", "4"), ("(3 1)", "2"), ("((0 2) 1)", "1"),
+    ]
+    assert splits(UNIT) == [(UNIT, UNIT)]
+    assert splits(Leaf(4)) == [(UNIT, Leaf(4)), (Leaf(4), UNIT)]
 
 
 def test_s_signature_examples():
