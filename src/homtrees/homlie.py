@@ -310,7 +310,7 @@ def load_algebra(source: Union[str, dict]) -> HomLieAlgebra:
 
     Bracket keys may use 0-based indices or basis names on both levels;
     rationals are strings (or JSON integers).  Row i of alpha gives the
-    coordinates of α(e_i).
+    coordinates of α(e_i).  A file of any other form raises ValueError.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -319,8 +319,19 @@ def load_algebra(source: Union[str, dict]) -> HomLieAlgebra:
         data = source
     if not isinstance(data, dict) or not {"basis", "alpha"} <= data.keys():
         raise ValueError("an algebra needs a 'basis' and an 'alpha'")
-    basis = list(data["basis"])
+    basis, bracket, alpha = data["basis"], data.get("bracket", {}), data["alpha"]
+    if not isinstance(basis, list) or not all(isinstance(b, str) and b and Reader(b).name() == b for b in basis):
+        raise ValueError("'basis' must be a list of basis names")
+    if not isinstance(bracket, dict) or not all(isinstance(value, dict) for value in bracket.values()):
+        raise ValueError("'bracket' must be an object of objects")
+    if not isinstance(alpha, list) or not all(isinstance(row, list) for row in alpha):
+        raise ValueError("'alpha' must be a list of lists")
     dim = len(basis)
+
+    def coefficient(c) -> Fraction:
+        if not isinstance(c, (int, str)):
+            raise ValueError("a coefficient must be a rational string or an integer, got %s" % json.dumps(c))
+        return frac(c)
 
     def coord_index(token) -> int:
         token = token.strip() if isinstance(token, str) else token
@@ -334,14 +345,14 @@ def load_algebra(source: Union[str, dict]) -> HomLieAlgebra:
         raise ValueError("unknown basis reference %r" % token)
 
     upper = {}
-    for key, value in data.get("bracket", {}).items():
+    for key, value in bracket.items():
         parts = key.split(",")
         if len(parts) != 2:
             raise ValueError("bracket key %r is not of the form 'i,j'" % key)
         i, j = coord_index(parts[0]), coord_index(parts[1])
         coords = [Fraction(0)] * dim
         for k, c in value.items():
-            coords[coord_index(k)] = frac(c)
+            coords[coord_index(k)] = coefficient(c)
         upper[(i, j)] = coords
-    alpha = data["alpha"]
-    return make_algebra(data.get("name", "algebra"), basis, upper, alpha)
+    rows = [[coefficient(c) for c in row] for row in alpha]
+    return make_algebra(data.get("name", "algebra"), basis, upper, rows)

@@ -211,6 +211,23 @@ def test_an_algebra_without_alpha_or_basis_is_a_usage_error(capsys, tmp_path, co
     assert_one_error_line(*run(capsys, *argv))
 
 
+@pytest.mark.parametrize("changes", [
+    {"bracket": {"x,y": ["y"]}},
+    {"bracket": [["x", "y"]]},
+    {"alpha": 5},
+    {"bracket": {"x,y": {"y": None}}},
+    {"alpha": [[1.0, 0], [0, 1]]},
+    {"basis": "xy"},
+    {"basis": [1, 2], "bracket": {"0,1": {"1": "1"}}},
+])
+def test_a_malformed_algebra_file_is_a_usage_error(capsys, tmp_path, changes):
+    algebra = {"name": "aff1", "basis": ["x", "y"], "bracket": {"x,y": {"y": "1"}},
+               "alpha": [["1", "0"], ["0", "1"]]}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({**algebra, **changes}))
+    assert_one_error_line(*run(capsys, "validate", str(path)))
+
+
 @pytest.mark.parametrize("joined", [
     ("--machine", "exp", "--scalar=-1/2", "--order", "2"),
     ("--machine", "nf", "--expr=-((0 0) 01)"),
