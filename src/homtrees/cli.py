@@ -20,7 +20,7 @@ from .ambient import OracleInconclusive
 from .grouplike import exp_sequence, load_sequence, validate_sequence
 from .homlie import load_algebra, parse_element, validate
 from .suites import SUITES, run_suite
-from .trees import ParseError
+from .trees import ParseError, Reader
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -163,8 +163,21 @@ def _cmd_antipode_index(args, machine: bool) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _read_scalar(text: str) -> Fraction:
+    """["+" | "-"] COEF and nothing else, the README's coefficient grammar."""
+    r = Reader(text)
+    sign = -1 if r.peek() == "-" else 1
+    if r.peek() in ("+", "-"):
+        r.pos += 1
+    value = r.rational()
+    if value is None:
+        r.error("expected a rational number")
+    r.end()
+    return sign * value
+
+
 def _cmd_exp(args, machine: bool) -> int:
-    scalar = Fraction(args.scalar)
+    scalar = _read_scalar(args.scalar)
     if args.order < 0:
         raise ValueError("--order must be non-negative")
     algebra_data = None

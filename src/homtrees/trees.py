@@ -335,15 +335,11 @@ class Reader:
         self.pos = pos
         return int(text[start:pos])
 
-    def coefficient(self) -> Fraction:
-        """A `N*`, `N/D*` or `N.D*` prefix, spaces allowed around '*', or 1 if there is none.
-
-        Without a '*' after the number the cursor stays put, so the
-        digits are read again as a leaf weight or the unit.
-        """
+    def rational(self) -> Optional[Fraction]:
+        """A `N`, `N/D` or `N.D` number, or None if no digit starts here."""
         start = self.pos
         if self.number() is None:
-            return Fraction(1)
+            return None
         mark = self.peek()
         if mark in ("/", "."):
             self.pos += 1
@@ -352,14 +348,25 @@ class Reader:
             if low is None or low == 0 and mark == "/":
                 self.pos = digits
                 self.error("expected %s after %r" % ("a nonzero denominator" if mark == "/" else "digits", mark))
-        value = self.text[start:self.pos]
+        return Fraction(self.text[start:self.pos])
+
+    def coefficient(self) -> Fraction:
+        """A `N*`, `N/D*` or `N.D*` prefix, spaces allowed around '*', or 1 if there is none.
+
+        Without a '*' after the number the cursor stays put, so the
+        digits are read again as a leaf weight or the unit.
+        """
+        start = self.pos
+        value = self.rational()
+        if value is None:
+            return Fraction(1)
         self.spaces()
         if self.peek() != "*":
             self.pos = start
             return Fraction(1)
         self.pos += 1
         self.spaces()
-        return Fraction(value)
+        return value
 
     def at_unit(self) -> bool:
         """Whether a bare "1", the unit 𝟙, starts here rather than a leaf."""

@@ -181,6 +181,25 @@ def test_exp_bad_scalar(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("scalar", ["1e2", "1_0", " 1/2 ", "1 / 2"])
+def test_exp_scalar_outside_the_coefficient_grammar_is_a_usage_error(capsys, scalar):
+    code, out, err = run(capsys, "exp", "--scalar", scalar)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("scalar, first_order", [
+    ("-1/2", ["1", "-1/2*0"]),
+    ("+1/2", ["1", "1/2*0"]),
+    ("0.5", ["1", "1/2*0"]),
+    ("3", ["1", "3*0"]),
+])
+def test_exp_scalar_spellings(capsys, scalar, first_order):
+    code, out, _ = run(capsys, "--machine", "exp", "--scalar", scalar, "--order", "1")
+    assert code == 0
+    assert json.loads(out)["orders"] == [["1"], first_order]
+
+
 def assert_one_error_line(code, out, err):
     assert code == 2
     assert out == ""
