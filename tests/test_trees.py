@@ -57,6 +57,10 @@ def test_graft_is_not_associative_or_commutative():
 def test_graft_decoration_mismatch():
     with pytest.raises(DecorationMismatch):
         graft(Leaf(0, "x"), Leaf(0))
+    # a mixed side differs from a decorated one wherever its plain leaf sits
+    for left, right in [("(0:x 0)", "(0:y 0:z)"), ("(0:y 0:z)", "(0:x 0)"), ("(0:x (0:y 0))", "0:z")]:
+        with pytest.raises(DecorationMismatch):
+            graft(parse(left), parse(right))
 
 
 def test_alpha_shift():
