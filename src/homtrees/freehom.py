@@ -117,11 +117,14 @@ def _rewrites(t: Node) -> list:
     """
     if isinstance(t, Leaf):
         return []
+    left, right = t.left, t.right
     out = []
-    if isinstance(t.left, Node) and min(weights_of(t.right)) >= 1:
-        out.append(Node(alpha_shift(t.left.left), Node(t.left.right, alpha_shift(t.right, -1))))
-    out.extend(Node(r, t.right) for r in _rewrites(t.left))
-    out.extend(Node(t.left, r) for r in _rewrites(t.right))
+    if isinstance(left, Node) and min(weights_of(right)) >= 1:
+        out.append(Node(alpha_shift(left.left), Node(left.right, alpha_shift(right, -1))))
+    for r in _rewrites(left):
+        out.append(Node(r, right))
+    for r in _rewrites(right):
+        out.append(Node(left, r))
     return out
 
 
