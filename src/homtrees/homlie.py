@@ -320,7 +320,8 @@ def load_algebra(source: Union[str, dict]) -> HomLieAlgebra:
     if not isinstance(data, dict) or not {"basis", "alpha"} <= data.keys():
         raise ValueError("an algebra needs a 'basis' and an 'alpha'")
     basis, bracket, alpha = data["basis"], data.get("bracket", {}), data["alpha"]
-    if not isinstance(basis, list) or not all(isinstance(b, str) and b and Reader(b).name() == b for b in basis):
+    if not isinstance(basis, list) or not all(isinstance(b, str) and b and Reader(b).name() == b
+                                              for b in basis):
         raise ValueError("'basis' must be a list of basis names")
     if not isinstance(bracket, dict) or not all(isinstance(value, dict) for value in bracket.values()):
         raise ValueError("'bracket' must be an object of objects")

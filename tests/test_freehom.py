@@ -5,6 +5,7 @@ import pytest
 
 from homtrees.freehom import (
     FREE,
+    _rewrites,
     DomainError,
     QuotientElement,
     alpha_poly,
@@ -32,7 +33,6 @@ from homtrees.freehom import (
     reduce_tensor,
     right_fern,
     tree_poly,
-    _rewrites,
     u_element,
     unit_poly,
 )
