@@ -16,11 +16,10 @@ codec keys, tensors LinCombs over (left key, right key) pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .linalg import LinComb, TruncSeries
+from .linalg import LinComb, Record, TruncSeries
 from .trees import alpha_shift, graft, is_unit, leaf_count, mirror, parse, splits, to_text
 
 
@@ -32,21 +31,28 @@ class OracleInconclusive(RuntimeError):
         self.verdict = verdict
 
 
+class ResourceLimit(RuntimeError):
+    """A level context would exceed the configured basis-size cap (see ueg)."""
+
+
 def identity_op(p: LinComb) -> LinComb:
     return p
 
 
-@dataclass
-class IndexSearch:
+class IndexSearch(Record):
     """Result of the invertibility-index search.
 
     level is the proof level of a leveled ambient (U𝔤), None for 𝕋/I.
     """
 
-    found: bool
-    index: Optional[int]
-    searched_up_to: int
-    level: Optional[int] = None
+    __slots__ = ("found", "index", "searched_up_to", "level")
+
+    def __init__(self, found: bool, index: Optional[int], searched_up_to: int,
+                 level: Optional[int] = None):
+        self.found = found
+        self.index = index
+        self.searched_up_to = searched_up_to
+        self.level = level
 
     # grouplike-check prints this repr as the clause-c detail, so a 𝕋/I
     # search shows no level field

@@ -5,22 +5,51 @@ witness), 2 usage or parse error, 3 a bounded oracle was inconclusive at
 its cap, or the input is nested deeper than the interpreter's recursion
 limit allows.  With --machine every report is a single JSON object with
 sorted keys, so identical inputs produce byte-identical output.
+
+A call loads only the modules its command uses.  trees and freehom (with
+ambient and linalg) are imported here; grouplike, homlie, suites and ueg
+are registered lazily, so each body runs on its first attribute use.
+The free-side commands (nf, coproduct, antipode, antipode-index, equal
+without --algebra) therefore never run them, nor import dataclasses.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from fractions import Fraction
 
 from . import freehom
-from . import ueg
-from .ambient import OracleInconclusive
-from .grouplike import exp_sequence, load_sequence, validate_sequence
-from .homlie import load_algebra, parse_element, validate
-from .suites import SUITES, run_suite
+from .ambient import OracleInconclusive, ResourceLimit
 from .trees import ParseError, Reader
+
+
+def _lazy(name: str):
+    """The submodule homtrees.<name>, its body run on first attribute use.
+
+    The module object is entered in sys.modules and on the package at
+    once, as an import would enter it, so code that looks it up there
+    finds it before it has run.  A module already imported is returned
+    as it is.
+    """
+    full = "%s.%s" % (__package__, name)
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+grouplike = _lazy("grouplike")
+homlie = _lazy("homlie")
+suites = _lazy("suites")
+ueg = _lazy("ueg")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -29,6 +58,9 @@ EXIT_INCONCLUSIVE = 3
 
 DEFAULT_ORDER = 4
 DEFAULT_MAX_K = 8
+
+# sorted(suites.SUITES), kept here so that parsing the options does not run suites
+SUITE_NAMES = ("all", "freehom", "grouplike", "trees", "ueg")
 
 
 def _emit(machine: bool, lines, payload) -> None:
@@ -65,8 +97,8 @@ def _tensor_terms(t) -> list:
 
 
 def _cmd_validate(args, machine: bool) -> int:
-    g = load_algebra(args.algebra)
-    outcome = validate(g)
+    g = homlie.load_algebra(args.algebra)
+    outcome = homlie.validate(g)
     if outcome.ok:
         _emit(machine,
               ["Ok: %s is a multiplicative Hom-Lie algebra (dim %d)" % (g.name, g.dim)],
@@ -110,7 +142,7 @@ def _cmd_equal(args, machine: bool) -> int:
                "residual": residual})
         return EXIT_FAIL
 
-    g = load_algebra(args.algebra)
+    g = homlie.load_algebra(args.algebra)
     lhs = ueg.parse_u_poly(g, args.lhs)
     rhs = ueg.parse_u_poly(g, args.rhs)
     if args.level is not None:
@@ -184,15 +216,15 @@ def _cmd_exp(args, machine: bool) -> int:
     if args.algebra is not None:
         with open(args.algebra, "r", encoding="utf-8") as handle:
             algebra_data = json.load(handle)
-        g = load_algebra(algebra_data)
+        g = homlie.load_algebra(algebra_data)
         if args.element is None:
             raise ValueError("--element is required together with --algebra")
-        x = parse_element(g, args.element)
-        seq = exp_sequence(scalar, args.order, ueg.UEAmbient(g, x))
+        x = homlie.parse_element(g, args.element)
+        seq = grouplike.exp_sequence(scalar, args.order, ueg.UEAmbient(g, x))
     elif args.element is not None:
         raise ValueError("--element only makes sense with --algebra")
     else:
-        seq = exp_sequence(scalar, args.order)
+        seq = grouplike.exp_sequence(scalar, args.order)
     orders = [[freehom.format_poly(c) for c in seq.terms[p].coeffs]
               for p in range(args.order + 1)]
     lines = ["exp_%d: %s" % (p, " | ".join(row)) for p, row in enumerate(orders)]
@@ -204,8 +236,8 @@ def _cmd_exp(args, machine: bool) -> int:
 
 
 def _cmd_grouplike_check(args, machine: bool) -> int:
-    seq = load_sequence(args.file)
-    outcome = validate_sequence(seq)
+    seq = grouplike.load_sequence(args.file)
+    outcome = grouplike.validate_sequence(seq)
     if outcome.ok:
         _emit(machine,
               ["Ok: formal group-like sequence (cap %d, bound %d)"
@@ -225,7 +257,7 @@ def _cmd_grouplike_check(args, machine: bool) -> int:
 
 
 def _cmd_verify(args, machine: bool) -> int:
-    reports = run_suite(args.suite, escalation_cap=args.level)
+    reports = suites.run_suite(args.suite, escalation_cap=args.level)
     lines = []
     failed = False
     inconclusive = False
@@ -317,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True, help="JSON with bound/orders (see README)")
 
     p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--level", type=int,
                    help="escalation cap for enveloping-algebra oracles (default 6)")
 
@@ -376,10 +408,7 @@ def run(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return EXIT_USAGE
-    except OracleInconclusive as exc:
-        sys.stderr.write("inconclusive: %s\n" % exc)
-        return EXIT_INCONCLUSIVE
-    except ueg.ResourceLimit as exc:
+    except (OracleInconclusive, ResourceLimit) as exc:
         sys.stderr.write("inconclusive: %s\n" % exc)
         return EXIT_INCONCLUSIVE
     except RecursionError:

@@ -50,12 +50,11 @@ residual is the vector with every key replaced by its representative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 from .ambient import Ambient, IndexSearch, identity_op  # noqa: F401 (re-exported for convolve)
-from .linalg import LinComb, Membership, TruncSeries, frac
+from .linalg import LinComb, Membership, Record, TruncSeries, frac
 from .trees import (
     Leaf,
     Node,
@@ -192,15 +191,22 @@ class ClassComponents:
         return Membership(True, LinComb(certificate), None)
 
 
-@dataclass
-class GradedClassContext:
-    """Everything needed to decide equality within one graded class."""
+class GradedClassContext(Record):
+    """Everything needed to decide equality within one graded class.
 
-    n: int
-    signature: tuple
-    basis: tuple
-    row_sources: tuple  # (tree text, rewritten text) per relation row, in input order
-    space: ClassComponents
+    row_sources holds (tree text, rewritten text) per relation row, in
+    input order.
+    """
+
+    __slots__ = ("n", "signature", "basis", "row_sources", "space")
+
+    def __init__(self, n: int, signature: tuple, basis: tuple, row_sources: tuple,
+                 space: ClassComponents):
+        self.n = n
+        self.signature = signature
+        self.basis = basis
+        self.row_sources = row_sources
+        self.space = space
 
 
 @lru_cache(maxsize=None)
@@ -259,8 +265,7 @@ class QuotientElement:
         return "QuotientElement(%s)" % format_poly(self.normal_form)
 
 
-@dataclass
-class TreeEquality:
+class TreeEquality(Record):
     """Verdict of the quotient oracle.
 
     When equal, certificates maps each graded class of the difference to
@@ -270,10 +275,14 @@ class TreeEquality:
     the difference falls outside the relation span.
     """
 
-    equal: bool
-    certificates: Optional[dict] = None
-    witness_class: Optional[tuple] = None
-    residual: Optional[LinComb] = None
+    __slots__ = ("equal", "certificates", "witness_class", "residual")
+
+    def __init__(self, equal: bool, certificates: Optional[dict] = None,
+                 witness_class: Optional[tuple] = None, residual: Optional[LinComb] = None):
+        self.equal = equal
+        self.certificates = certificates
+        self.witness_class = witness_class
+        self.residual = residual
 
 
 def equal_mod_I(a: TreePoly, b: TreePoly) -> TreeEquality:
@@ -468,10 +477,21 @@ def format_poly(p: TreePoly) -> str:
     return " ".join(parts)
 
 
+def _plain_leaf(r: Reader) -> Leaf:
+    """A codec leaf with no decoration: 𝕋/I has one undecorated generator."""
+    start = r.pos
+    leaf = codec_leaf(r)
+    if leaf.name is not None:
+        r.pos = r.text.index(":", start)
+        r.error("a leaf of the free algebra takes no decoration")
+    return leaf
+
+
 def parse_poly(text: str) -> TreePoly:
     """Inverse of format_poly: a ±-sum of `[coef*] ('1' | tree)` terms.
 
-    A leading '-' negates the first term; ParseError positions are
+    Leaves are plain weights; a decorated leaf is a ParseError at its
+    ':'.  A leading '-' negates the first term; ParseError positions are
     offsets into the whole text.
     """
 
@@ -480,7 +500,7 @@ def parse_poly(text: str) -> TreePoly:
         if r.at_unit():
             r.pos += 1
             return "1", coeff
-        return to_text(r.tree(codec_leaf)), coeff
+        return to_text(r.tree(_plain_leaf)), coeff
 
     r = Reader(text)
     out = LinComb(r.sum(term))

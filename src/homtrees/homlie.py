@@ -329,14 +329,16 @@ def load_algebra(source: Union[str, dict]) -> HomLieAlgebra:
         raise ValueError("'alpha' must be a list of lists")
     dim = len(basis)
 
+    # JSON true and false load as bool, an int subclass; neither is a number here
     def coefficient(c) -> Fraction:
-        if not isinstance(c, (int, str)):
+        if not isinstance(c, (int, str)) or isinstance(c, bool):
             raise ValueError("a coefficient must be a rational string or an integer, got %s" % json.dumps(c))
         return frac(c)
 
     def coord_index(token) -> int:
         token = token.strip() if isinstance(token, str) else token
-        if isinstance(token, int) or (isinstance(token, str) and token.lstrip("-").isdigit()):
+        if (isinstance(token, int) and not isinstance(token, bool)
+                or isinstance(token, str) and token.lstrip("-").isdigit()):
             idx = int(token)
             if not 0 <= idx < dim:
                 raise ValueError("basis index %d out of range" % idx)

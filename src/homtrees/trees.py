@@ -28,7 +28,6 @@ with: this codec and the readers of freehom, ueg and homlie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Union
@@ -46,20 +45,69 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def _frozen(self, *args):
+    raise AttributeError("%s is immutable" % type(self).__name__)
+
+
 class Leaf:
-    weight: int
-    name: Optional[str] = None
+    """A leaf of weight ≥ 0, decorated by a basis name or undecorated (name None).
 
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("leaf weight must be non-negative, got %d" % self.weight)
+    Leaf and Node are immutable values: equal when their fields are, with
+    the hash of their field tuple, computed when asked for.
+    """
+
+    __slots__ = ("weight", "name")
+
+    def __init__(self, weight: int, name: Optional[str] = None):
+        if weight < 0:
+            raise ValueError("leaf weight must be non-negative, got %d" % weight)
+        _set(self, "weight", weight)
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not Leaf:
+            return NotImplemented
+        return (self.weight, self.name) == (other.weight, other.name)
+
+    def __hash__(self):
+        return hash((self.weight, self.name))
+
+    def __repr__(self):
+        return "Leaf(weight=%r, name=%r)" % (self.weight, self.name)
+
+    def __reduce__(self):
+        return Leaf, (self.weight, self.name)
+
+    __setattr__ = __delattr__ = _frozen
 
 
-@dataclass(frozen=True)
 class Node:
-    left: "Tree"
-    right: "Tree"
+    """The graft of a left and a right subtree."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Tree", right: "Tree"):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not Node:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+    def __repr__(self):
+        return "Node(left=%r, right=%r)" % (self.left, self.right)
+
+    def __reduce__(self):
+        return Node, (self.left, self.right)
+
+    __setattr__ = __delattr__ = _frozen
 
 
 Tree = Union[Leaf, Node]
@@ -116,6 +164,7 @@ def decorations_of(t: Tree) -> tuple[Optional[str], ...]:
 
 
 def _decoration_state(t: Tree) -> str:
+    """"plain", "decorated" or "mixed" (some leaves decorated, some not)."""
     if isinstance(t, Leaf):
         return "plain" if t.name is None else "decorated"
     left = _decoration_state(t.left)
@@ -152,9 +201,10 @@ def alpha_shift(t: Element, k: int = 1) -> Element:
 def graft(l: Element, r: Element) -> Element:
     """φ∨ψ.  Grafting with the unit shifts the other side: φ∨𝟙 = 𝟙∨φ = α(φ).
 
-    Both sides must agree on whether their leaves are decorated; whether
-    two decorated trees refer to the same algebra is checked upstream,
-    where the algebra is actually known.
+    Both sides must agree on whether their leaves are decorated, and
+    neither may mix decorated and undecorated leaves; whether two
+    decorated trees refer to the same algebra is checked upstream, where
+    the algebra is actually known.
     """
     if is_unit(l) and is_unit(r):
         return UNIT
@@ -162,7 +212,8 @@ def graft(l: Element, r: Element) -> Element:
         return alpha_shift(r)
     if is_unit(r):
         return alpha_shift(l)
-    if _decoration_state(l) != _decoration_state(r):
+    state = _decoration_state(l)
+    if state == "mixed" or state != _decoration_state(r):
         raise DecorationMismatch("cannot graft decorated and undecorated trees")
     return Node(l, r)
 

@@ -48,7 +48,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Optional
 
-from .ambient import Ambient, OracleInconclusive
+from .ambient import Ambient, OracleInconclusive, ResourceLimit
 from .homlie import HomLieAlgebra, HomLieMorphism, read_element, read_symbol, validate_morphism
 from .linalg import LinComb, RowSpace
 from .trees import (
@@ -69,10 +69,6 @@ UPoly = LinComb
 DEFAULT_BASIS_CAP = 8000
 DEFAULT_SLACK = 1
 DEFAULT_ESCALATION_CAP = 6
-
-
-class ResourceLimit(RuntimeError):
-    """A level context would exceed the configured basis-size cap."""
 
 
 class MorphismInvalid(ValueError):

@@ -3,12 +3,23 @@
 bench/common.py empties the caches between rounds, bench/spans.py counts
 class builds through cache_info() and level builds through the size of
 ueg._level_cache, and bench/free.py replays every Equal certificate
-against GradedClassContext.row_sources.  A refactor that breaks one of
+against GradedClassContext.row_sources.  bench/cli_child.py imports the
+CLI and at once has spans.py look its modules up in sys.modules, and
+bench/uenv.py reads grouplike.UEAmbient.  A refactor that breaks one of
 these breaks the benchmark, so each is pinned here.
 """
 
+import json
+import os
+import subprocess
+import sys
+
+import homtrees
 from homtrees import freehom, trees, ueg
 from homtrees.linalg import LinComb
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(homtrees.__file__)))
 
 CLS = (4, (3, 4, 4, 3))
 
@@ -56,3 +67,27 @@ def test_equal_certificates_replay_against_row_sources():
             assert target in {trees.to_text(r) for r in freehom._rewrites(trees.parse(source))}
             total = total + coeff * LinComb({source: 1, target: -1})
         assert total == parts[cls]
+
+
+def test_the_cli_enters_every_module_spans_looks_up():
+    # spans.install reads these from sys.modules right after `from homtrees import cli`
+    code = """
+import json, sys
+from homtrees import cli
+names = ["homtrees.%s" % n for n in ("trees", "linalg", "freehom", "ueg", "grouplike", "homlie")]
+missing = [n for n in names if n not in sys.modules]
+print(json.dumps([missing, sys.modules["homtrees.grouplike"].UEAmbient is sys.modules["homtrees.ueg"].UEAmbient]))
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[], True]
+
+
+def test_a_traced_cli_child_answers_and_counts(tmp_path):
+    stats = tmp_path / "stats.json"
+    argv = ["--machine", "exp", "--scalar", "1/2", "--order", "2"]
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "bench", "cli_child.py"), str(stats)] + argv,
+                          cwd=ROOT, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["orders"] == [["1"], ["1", "1/2*0"], ["1", "1/2*01", "1/8*(0 0)"]]
+    assert json.loads(stats.read_text())["calls"]["grouplike.exp_sequence"] == 1

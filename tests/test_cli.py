@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from homtrees import cli
+import homtrees
+from homtrees import cli, suites
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SL2 = os.path.join(DATA, "sl2_twisted.json")
@@ -126,9 +129,28 @@ def test_coproduct_output(capsys):
 
 @pytest.mark.parametrize("expr", ["(0:x 0)", "((0:x 0:y) (0 0))"])
 def test_coproduct_of_a_mixed_tree_is_a_usage_error(capsys, expr):
+    # the free side reads plain leaves only, so the first decoration is refused
     code, out, err = run(capsys, "coproduct", "--expr", expr)
-    assert_one_error_line(code, out, err)
-    assert err == "error: cannot graft decorated and undecorated trees\n"
+    assert (code, out) == (2, "")
+    assert err == "parse error: a leaf of the free algebra takes no decoration (at position %d)\n" % expr.index(":")
+
+
+@pytest.mark.parametrize("argv", [
+    ("nf", "--expr", "(0:x 0)"),
+    ("equal", "--lhs", "(0:x 0)", "--rhs", "(0:x 0)"),
+])
+def test_free_commands_refuse_a_decorated_leaf(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "parse error: a leaf of the free algebra takes no decoration (at position 2)\n"
+
+
+def test_a_free_sequence_file_refuses_a_decorated_leaf(capsys, tmp_path):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"bound": 0, "orders": [["1"], ["1", "0:x"]]}))
+    code, out, err = run(capsys, "grouplike-check", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
 
 
 def test_antipode_output(capsys):
@@ -238,6 +260,7 @@ def test_an_algebra_without_alpha_or_basis_is_a_usage_error(capsys, tmp_path, co
     {"alpha": [[1.0, 0], [0, 1]]},
     {"basis": "xy"},
     {"basis": [1, 2], "bracket": {"0,1": {"1": "1"}}},
+    {"bracket": {"x,y": {"y": True}}, "alpha": [[True, False], [False, True]]},
 ])
 def test_a_malformed_algebra_file_is_a_usage_error(capsys, tmp_path, changes):
     algebra = {"name": "aff1", "basis": ["x", "y"], "bracket": {"x,y": {"y": "1"}},
@@ -338,6 +361,56 @@ def test_verify_trees_suite(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, _ = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
+
+
+def test_verify_suite_choices_are_the_suites():
+    assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
+    parser = cli.build_parser()
+    for name in suites.SUITES:
+        assert parser.parse_args(["verify", "--suite", name]).suite == name
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(homtrees.__file__)))
+
+
+def fresh(code: str):
+    """What `code` prints as JSON on its last line, run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+LOADED = """
+import json, sys
+print(json.dumps(sorted(m for m in ("dataclasses", "inspect", "homtrees.ambient", "homtrees.linalg")
+                        + tuple("homtrees.%s" % n for n in ("freehom", "grouplike", "homlie", "suites", "trees", "ueg"))
+                        if m in sys.modules and type(sys.modules[m]).__name__ == "module")))
+"""
+FREE_SIDE = ["homtrees.ambient", "homtrees.freehom", "homtrees.linalg", "homtrees.trees"]
+
+
+def test_importing_the_cli_runs_only_the_free_side_modules():
+    # grouplike, homlie, suites and ueg are registered but have not run, so
+    # neither they nor dataclasses (which imports inspect) are loaded
+    assert fresh("import homtrees.cli" + LOADED) == FREE_SIDE
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["nf", "--expr", "((0 0) 01)"], []),
+    (["equal", "--lhs", "(0 0)", "--rhs", "01"], []),
+    (["antipode-index", "--expr", "(0 0)"], []),
+    (["validate", SL2], ["homlie"]),
+    (["equal", "--algebra", SL2, "--lhs", "0:E", "--rhs", "0:E"], ["homlie", "ueg"]),
+    (["exp", "--scalar", "1", "--order", "1"], ["grouplike", "homlie", "ueg"]),
+    (["verify", "--suite", "trees"], ["grouplike", "homlie", "suites", "ueg"]),
+])
+def test_a_command_runs_only_the_modules_it_uses(argv, modules):
+    code = "import contextlib, io\nfrom homtrees import cli\n" \
+           "with contextlib.redirect_stdout(io.StringIO()): cli.run(%r)" % (argv,) + LOADED
+    loaded = fresh(code)
+    assert [m for m in loaded if m not in FREE_SIDE + ["dataclasses", "inspect"]] == \
+        ["homtrees.%s" % m for m in modules]
+    assert ("dataclasses" in loaded) == bool(modules)
 
 
 def test_verify_freehom_reports_the_u_element(capsys):

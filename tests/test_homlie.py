@@ -231,3 +231,17 @@ def test_load_algebra_rejects_duplicates():
                 "alpha": [["1", "0"], ["0", "1"]],
             }
         )
+
+
+@pytest.mark.parametrize("changes", [
+    {"bracket": {"x,y": {"y": True}}},
+    {"alpha": [[True, False], [False, True]]},
+    {"bracket": {"x,y": {True: "1"}}},
+    {"bracket": {"x,y": {1: "1"}}, "alpha": [[1, False], [0, 1]]},
+])
+def test_load_algebra_rejects_booleans(changes):
+    # bool is an int subclass, so an unchecked true read as 1 and false as 0
+    data = {"name": "aff1", "basis": ["x", "y"], "bracket": {"x,y": {"y": "1"}},
+            "alpha": [["1", "0"], ["0", "1"]]}
+    with pytest.raises(ValueError):
+        load_algebra({**data, **changes})

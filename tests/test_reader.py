@@ -394,7 +394,7 @@ def free_inputs(rng, count):
         if rng.random() < 0.3:
             keys.append("1")
         out.append(loosen(rng, format_poly(LinComb((k, random_coefficient(rng)) for k in keys))))
-    out += ["1.5*0 - 0.25*(0 1)", "007*01 + 3/4 * 1", "-0", "+ 1", "0*1", "12", "1:x"]
+    out += ["1.5*0 - 0.25*(0 1)", "007*01 + 3/4 * 1", "-0", "+ 1", "0*1", "12"]
     return out
 
 
@@ -435,7 +435,7 @@ MALFORMED_FREE = [
     "", " ", "+", "-", "0 +", "0 + ", "+ 0", "0 0", "2**0", "x*(0 0)", "1 1", "2*", "*0", "2*1*0",
     "3 (0 0)", "1)", "(0 1))", "0 - -0", "--0", "+-0", "2 * * 0", "1/0*0", "1/*0", "1/0",
     "2.x", "1.*0", ".5*0", "1e2*0", "1E2*0", "1_0*0", "1 / 2*0", "0\t+ 0", "0 +\t0", "\t0",
-    "0\n", "0 + (0 x)", "(0 1) - (0 x)", "²*0", "1:", "0:(x)",
+    "0\n", "0 + (0 x)", "(0 1) - (0 x)", "²*0", "1:", "0:(x)", "1:x",
 ]
 MALFORMED_U = [
     "", "0:z", "0x", "(1 0:x)", "0:(x + bogus)", "0:x 0:y", "1.5*0:x", "1/0*0:x", "1e2*0:x",
@@ -464,6 +464,8 @@ REASONS = {
                     " through its coefficient rule",
     "decimal-digit": "a digit that int() cannot read, such as '²', is a ParseError; the codec"
                      " had raised int()'s ValueError",
+    "plain-leaf": "parse_poly reads plain leaves only: 𝕋/I has one undecorated generator, so a"
+                  " decorated leaf is a ParseError at its ':'",
 }
 
 CHANGED = {
@@ -501,6 +503,9 @@ CHANGED = {
         ("parse_u_poly/sl2", "2/2:E"),
     ], "whole-weight"),
     **dict.fromkeys([("parse", "²"), ("parse", "²*0"), ("parse_poly", "²")], "decimal-digit"),
+    **dict.fromkeys([
+        ("parse_poly", "1:x"), ("parse_poly", "0:_a1"), ("parse_poly", "0:x²"), ("parse_poly", "0:é"),
+    ], "plain-leaf"),
 }
 
 
@@ -595,6 +600,9 @@ def test_listed_changes_read_as_documented():
     assert err.value.position == 7
     with pytest.raises(KeyError):
         parse_element(SL2, "E + Q")
+    with pytest.raises(ParseError) as err:
+        parse_poly("(0 1) + 2*(0:x 0)")
+    assert err.value.position == 12
 
 
 def test_a_comb_nested_900_deep_is_read():

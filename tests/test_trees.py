@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+from dataclasses import field, make_dataclass
+from typing import Optional
 
 import pytest
 
@@ -31,6 +35,60 @@ def random_tree(rng, max_leaves=3, max_weight=2):
     return with_weights(shape, [rng.randint(0, max_weight) for _ in range(n)])
 
 
+def _check_weight(self):
+    if self.weight < 0:
+        raise ValueError("leaf weight must be non-negative, got %d" % self.weight)
+
+
+# the frozen dataclasses Leaf and Node were, kept as the reference for
+# the __slots__ classes that replaced them
+RefLeaf = make_dataclass("Leaf", [("weight", int), ("name", Optional[str], field(default=None))],
+                         frozen=True, namespace={"__post_init__": _check_weight})
+RefNode = make_dataclass("Node", [("left", object), ("right", object)], frozen=True)
+
+
+def as_reference(t):
+    if isinstance(t, Leaf):
+        return RefLeaf(t.weight, t.name)
+    return RefNode(as_reference(t.left), as_reference(t.right))
+
+
+def test_leaf_and_node_behave_as_the_frozen_dataclasses():
+    rng = random.Random(17)
+    names = [None, None, "x", "y"]
+    pool = [with_weights(rng.choice(enumerate_shapes(n)), [rng.randint(0, 2) for _ in range(n)],
+                         [rng.choice(names) for _ in range(n)])
+            for n in [rng.randint(1, 4) for _ in range(300)]]
+    pool += [parse(to_text(t)) for t in pool[:50]]  # equal values built apart
+    refs = [as_reference(t) for t in pool]
+    assert [repr(t) for t in pool] == [repr(r) for r in refs]
+    assert [hash(t) for t in pool] == [hash(r) for r in refs]
+    for i in range(0, len(pool), 7):
+        for j in range(len(pool)):
+            assert (pool[i] == pool[j]) == (refs[i] == refs[j])
+            assert (pool[i] != pool[j]) == (refs[i] != refs[j])
+    # same hashes, same insertion order: a set iterates in the same order
+    assert [as_reference(t) for t in set(pool)] == list(set(refs))
+    assert Leaf(0) != (0, None) and RefLeaf(0) != (0, None)
+    assert Leaf(0) != UNIT and RefLeaf(0) != UNIT
+    for t, r in [(Leaf(1, "x"), RefLeaf(1, "x")), (Node(Leaf(0), Leaf(1)), RefNode(RefLeaf(0), RefLeaf(1)))]:
+        for obj in (t, r):
+            field_name = "weight" if isinstance(obj, (Leaf, RefLeaf)) else "left"
+            with pytest.raises(AttributeError):
+                setattr(obj, field_name, Leaf(3))
+            with pytest.raises(AttributeError):
+                setattr(obj, "other", 1)
+            with pytest.raises(AttributeError):
+                delattr(obj, field_name)
+    for make in (Leaf, RefLeaf):
+        with pytest.raises(ValueError) as err:
+            make(-1, "x")
+        assert str(err.value) == "leaf weight must be non-negative, got -1"
+    assert Leaf(2).name is None and Leaf(weight=2, name="x") == Leaf(2, "x")
+    for t in pool[:20]:
+        assert copy.deepcopy(t) == t == pickle.loads(pickle.dumps(t))
+
+
 def test_catalan_counts():
     assert [len(enumerate_shapes(n)) for n in range(1, 9)] == [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -57,8 +115,11 @@ def test_graft_is_not_associative_or_commutative():
 def test_graft_decoration_mismatch():
     with pytest.raises(DecorationMismatch):
         graft(Leaf(0, "x"), Leaf(0))
-    # a mixed side differs from a decorated one wherever its plain leaf sits
-    for left, right in [("(0:x 0)", "(0:y 0:z)"), ("(0:y 0:z)", "(0:x 0)"), ("(0:x (0:y 0))", "0:z")]:
+    # a mixed side is refused against a decorated, a plain or a mixed one,
+    # wherever its plain leaf sits
+    for left, right in [("(0:x 0)", "(0:y 0:z)"), ("(0:y 0:z)", "(0:x 0)"), ("(0:x (0:y 0))", "0:z"),
+                        ("(0:x 0)", "(0 0:y)"), ("(0 0:y)", "(0:x 0)"), ("(0:x 0)", "0"),
+                        ("(0 0)", "(0 0:y)")]:
         with pytest.raises(DecorationMismatch):
             graft(parse(left), parse(right))
 
