@@ -32,7 +32,7 @@ class OracleInconclusive(RuntimeError):
 
 
 class ResourceLimit(RuntimeError):
-    """A level context would exceed the configured basis-size cap (see ueg)."""
+    """A level context would exceed ueg.DEFAULT_BASIS_CAP basis trees."""
 
 
 def identity_op(p: LinComb) -> LinComb:
@@ -175,10 +175,12 @@ class Ambient:
                     out.append(((la, rb), coeff * ca * cb))
         return LinComb(out)
 
-    def is_primitive(self, p: LinComb, level: Optional[int] = None) -> bool:
-        """Whether Δp = p⊗𝟙 + 𝟙⊗p holds modulo the tensor-square ideal."""
-        if level is None:
-            level = self._level_of(p.terms)
+    def is_primitive(self, p: LinComb) -> bool:
+        """Whether Δp = p⊗𝟙 + 𝟙⊗p holds modulo the tensor-square ideal.
+
+        Reduced at p's level: the defect can cancel p's largest trees.
+        """
+        level = self._level_of(p.terms)
         pairs = list(self.coproduct(p).items())
         for key, coeff in p.items():
             pairs.append(((key, "1"), -coeff))
@@ -188,8 +190,7 @@ class Ambient:
     def invertibility_index(self, x, max_k: int = 8) -> IndexSearch:
         """Smallest k with α^k((S⋆id)x − ηε(x)) = 0 = α^k((id⋆S)x − ηε(x)).
 
-        x is an element or a TruncSeries of elements (quotient elements
-        are read through their representative); for a series the
+        x is an element or a TruncSeries of elements; for a series the
         conditions are imposed per ν-coefficient and the answer is the
         smallest uniform k, monotone because α maps the ideal into
         itself.  A leveled ambient proves each defect at its own level;
@@ -197,8 +198,7 @@ class Ambient:
         """
         coeffs = x.coeffs if isinstance(x, TruncSeries) else (x,)
         defects = []
-        for c in coeffs:
-            p = getattr(c, "representative", c)
+        for p in coeffs:
             target = self.eta_eps(p)
             delta = self.coproduct(p)
             defects.append(self._graft_tensor(self.antipode, identity_op, delta) - target)

@@ -49,12 +49,11 @@ residual is the vector with every key replaced by its representative.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable, Optional
 
 from .ambient import Ambient, IndexSearch, identity_op  # noqa: F401 (re-exported for convolve)
-from .linalg import LinComb, Membership, Record, TruncSeries, frac
+from .linalg import LinComb, Membership, Record
 from .trees import (
     Leaf,
     Node,
@@ -235,36 +234,6 @@ def normal_form(p: TreePoly) -> TreePoly:
     return LinComb((nkey, coeff * c) for key, coeff in p.items() for nkey, c in _nf_key(key).items())
 
 
-class QuotientElement:
-    """An element of the quotient, compared through class residuals."""
-
-    def __init__(self, representative: TreePoly):
-        self.representative = representative
-        reduced = graded_decompose(normal_form(representative))
-        self.residuals = {cls: comp for cls, comp in reduced.items() if comp}
-
-    @property
-    def normal_form(self) -> TreePoly:
-        out = LinComb.zero()
-        for comp in self.residuals.values():
-            out = out + comp
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientElement):
-            return NotImplemented
-        return self.residuals == other.residuals
-
-    def __hash__(self):
-        return hash(frozenset((cls, comp) for cls, comp in self.residuals.items()))
-
-    def __bool__(self):
-        return bool(self.residuals)
-
-    def __repr__(self):
-        return "QuotientElement(%s)" % format_poly(self.normal_form)
-
-
 class TreeEquality(Record):
     """Verdict of the quotient oracle.
 
@@ -367,7 +336,7 @@ def invertibility_index(g, max_k: int = 8) -> IndexSearch:
 
 
 # --------------------------------------------------------------------------
-# k-weighted products and series realizations
+# k-weighted products
 
 
 def k_weighted(t, k: int) -> TreePoly:
@@ -415,37 +384,6 @@ def nary_product(n: int, k: int) -> TreePoly:
     if n == 1:
         return tree_poly(Leaf(k - 1))
     return k_weighted(right_fern(n), k)
-
-
-def is_fern(t) -> bool:
-    """Every internal node is adjacent to at least one leaf."""
-    if is_unit(t) or isinstance(t, Leaf):
-        return True
-    if isinstance(t.left, Leaf) or isinstance(t.right, Leaf):
-        return is_fern(t.left) and is_fern(t.right)
-    return False
-
-
-def realize_series(f: TruncSeries, p: int) -> TruncSeries:
-    """f̂_p(ν) = a_0·𝟙 + Σ_{i≥1} a_i ν^i ⌊e^i⌋_p, as quotient elements."""
-    if p < 1:
-        raise DomainError("realization needs p >= 1, got %d" % p)
-    if f.order > p:
-        raise DomainError("series order %d exceeds the weight parameter p=%d" % (f.order, p))
-    coeffs = []
-    for i, a in enumerate(f.coeffs):
-        coeffs.append(QuotientElement(frac(a) * nary_product(i, p)))
-    return TruncSeries(coeffs)
-
-
-def exp_taylor(s, order: int) -> TruncSeries:
-    s = frac(s)
-    return TruncSeries(s ** i / math.factorial(i) for i in range(order + 1))
-
-
-def exp_hat(s, p: int) -> TruncSeries:
-    """exp̂_p(s): the order-p realization of exp(sν)."""
-    return realize_series(exp_taylor(s, p), p)
 
 
 def u_element() -> TreePoly:

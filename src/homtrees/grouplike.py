@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Optional
 
 from .ambient import OracleInconclusive
 from .freehom import FREE, class_of
-from .homlie import HomLieAlgebra, load_algebra
+from .homlie import load_algebra
 from .linalg import LinComb, RowSpace, TruncSeries, frac, series_multiply
 from .ueg import UEAmbient
 
@@ -42,9 +41,6 @@ class SeriesElement:
     @property
     def order(self) -> int:
         return self.series.order
-
-    def coeff(self, i: int):
-        return self.series.coeffs[i]
 
 
 @dataclass
@@ -137,8 +133,7 @@ def unit_sequence(ambient, cap: int) -> GroupLikeSequence:
     return GroupLikeSequence(ambient, terms, 0, cap)
 
 
-def homgroup_product(a: GroupLikeSequence, b: GroupLikeSequence,
-                     revalidate: bool = False) -> GroupLikeSequence:
+def homgroup_product(a: GroupLikeSequence, b: GroupLikeSequence) -> GroupLikeSequence:
     """Termwise graft; the index bound k_a + k_b + 1 is recorded, not re-searched."""
     if a.ambient != b.ambient:
         raise ValueError("sequences live over different ambients")
@@ -148,12 +143,7 @@ def homgroup_product(a: GroupLikeSequence, b: GroupLikeSequence,
         series_multiply(a.terms[p], b.terms[p], a.ambient.graft)
         for p in range(a.cap + 1)
     )
-    product = GroupLikeSequence(a.ambient, terms, a.bound + b.bound + 1, a.cap)
-    if revalidate:
-        outcome = validate_sequence(product)
-        if not outcome.ok:
-            raise OracleInconclusive("product failed revalidation", outcome)
-    return product
+    return GroupLikeSequence(a.ambient, terms, a.bound + b.bound + 1, a.cap)
 
 
 def homgroup_inverse(a: GroupLikeSequence) -> GroupLikeSequence:
@@ -206,24 +196,6 @@ def exp_sequence(s, cap: int, ambient=None) -> GroupLikeSequence:
     return GroupLikeSequence(ambient, tuple(terms), 0, cap)
 
 
-def exp_injectivity_check(g: HomLieAlgebra, s) -> bool:
-    """x ↦ exp̂(sx) is injective: the order-1 coefficient of g_1 is s·leaf(x)."""
-    s = frac(s)
-    if not s:
-        raise ValueError("injectivity requires s != 0")
-    seen = {}
-    for i in range(g.dim):
-        seq = exp_sequence(s, 1, UEAmbient(g, g.basis_vector(i)))
-        coeff = seq.terms[1].coeffs[1]
-        key = tuple(sorted(coeff.items()))
-        if key in seen:
-            return False
-        seen[key] = g.basis[i]
-    # the order-1 coefficient is s times the undecorated generator leaf,
-    # so distinct elements always separate when s is non-zero
-    return True
-
-
 # ------------------------------------------------------------- order-2 solver
 
 
@@ -251,10 +223,11 @@ class Order2Completion:
 def complete_order2(elem: SeriesElement) -> Order2Completion:
     """Solve Δc − c⊗𝟙 − 𝟙⊗c = q⊗q for the ν² coefficient c, q the ν¹ one.
 
-    Restriction preserves per-leaf s-values, so any contribution to the
-    class pair (s₁, s₂) must come from trees whose signature interleaves
-    s₁ and s₂; the system is therefore finite and its infeasibility is a
-    proof.  Only the exact one-generator ambient supports this.
+    Splitting a tree (trees.splits) keeps every leaf's s-value, so any
+    contribution to the class pair (s₁, s₂) must come from trees whose
+    signature interleaves s₁ and s₂; the system is therefore finite and
+    its infeasibility is a proof.  Only the exact one-generator ambient
+    supports this.
     """
     ambient = elem.ambient
     if not getattr(ambient, "exact", False):
@@ -299,7 +272,8 @@ def complete_order2(elem: SeriesElement) -> Order2Completion:
 def load_sequence(source) -> GroupLikeSequence:
     """JSON sequence fixture: {"bound": k, "orders": [[expr, ...], ...]}.
 
-    orders[p] lists the ν^0..ν^p coefficient expressions of g_p.  An
+    orders[p] lists the ν^0..ν^p coefficient expressions of g_p, each a
+    string; the bound, 0 when absent, is a non-negative integer.  An
     optional "algebra" object (same schema as the algebra loader) moves
     the sequence into U𝔤; expressions then use decorated-leaf syntax.
     """
@@ -310,14 +284,19 @@ def load_sequence(source) -> GroupLikeSequence:
         data = source
     if not isinstance(data, dict) or "orders" not in data:
         raise ValueError("sequence file needs an 'orders' array")
+    orders = data["orders"]
+    if not isinstance(orders, list) or not all(
+            isinstance(exprs, list) and all(isinstance(e, str) for e in exprs) for exprs in orders):
+        raise ValueError("'orders' must be a list of lists of expression strings")
+    if not orders:
+        raise ValueError("sequence file has no orders")
+    bound = data.get("bound", 0)
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
+        raise ValueError("'bound' must be a non-negative integer")
     if "algebra" in data:
         ambient = UEAmbient(load_algebra(data["algebra"]))
     else:
         ambient = FREE
-    bound = int(data.get("bound", 0))
-    orders = data["orders"]
-    if not orders:
-        raise ValueError("sequence file has no orders")
     terms = []
     for p, exprs in enumerate(orders):
         if len(exprs) != p + 1:

@@ -340,16 +340,6 @@ class TruncSeries:
     def map(self, fn: Callable) -> "TruncSeries":
         return TruncSeries(fn(c) for c in self.coeffs)
 
-    def zip_with(self, other: "TruncSeries", fn: Callable) -> "TruncSeries":
-        if self.order != other.order:
-            raise OrderMismatch("series orders differ: %d vs %d" % (self.order, other.order))
-        return TruncSeries(fn(a, b) for a, b in zip(self.coeffs, other.coeffs))
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise OrderMismatch("cannot extend order %d to %d" % (self.order, order))
-        return TruncSeries(self.coeffs[: order + 1])
-
 
 def series_multiply(a: TruncSeries, b: TruncSeries, mul: Callable) -> TruncSeries:
     """Cauchy product truncated at the common order.

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Optional
+from typing import Optional
 
 from . import freehom
 from . import ueg
@@ -68,10 +68,6 @@ class CriterionReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    @property
-    def inconclusive(self) -> bool:
-        return any(c.inconclusive for c in self.checks)
 
 
 def _random_tree(rng, max_leaves=3, max_weight=2):

@@ -24,8 +24,10 @@ Because R2 lowers leaf counts there is no finite grading, so equality
 is a level-bounded semi-decision: membership of a difference in the row
 span over all basis trees with at most N leaves.  A positive answer is
 a proof (the certificate recombines the difference from relation rows);
-a negative answer only says "not provable at level N" and callers may
-escalate N within a cap.
+a negative answer only says "not provable at level N".  The level
+policy is fixed: start at the largest leaf count + 1 (DEFAULT_SLACK),
+escalate to escalation_cap, and build no level of more than 8000 basis
+trees (DEFAULT_BASIS_CAP; ResourceLimit beyond it).
 
 A level is eliminated without history, since verdicts, residuals and
 normal forms need none.  The certificate of an Equal verdict is worked
@@ -331,19 +333,19 @@ _level_cache_lock = threading.Lock()
 _tracked_lock = threading.Lock()
 
 
-def build_level(g: HomLieAlgebra, level: int, cap: int = DEFAULT_BASIS_CAP) -> LevelContext:
+def build_level(g: HomLieAlgebra, level: int) -> LevelContext:
     """All relation rows over decorated trees with at most `level` leaves."""
     if level < 1:
         raise ValueError("level must be at least 1")
     with _level_cache_lock:
-        cached = _level_cache.get((g, level, cap))
+        cached = _level_cache.get((g, level))
     if cached is not None:
         return cached
     size = sum(len(enumerate_shapes(n)) * g.dim ** n for n in range(1, level + 1))
-    if size > cap:
+    if size > DEFAULT_BASIS_CAP:
         raise ResourceLimit(
             "level %d over a %d-dimensional algebra needs %d basis trees (cap %d)"
-            % (level, g.dim, size, cap)
+            % (level, g.dim, size, DEFAULT_BASIS_CAP)
         )
     basis = []
     rows = []
@@ -355,7 +357,7 @@ def build_level(g: HomLieAlgebra, level: int, cap: int = DEFAULT_BASIS_CAP) -> L
             sources.append(source)
     ctx = LevelContext(g, level, tuple(basis), tuple(sources), RowSpace(rows, track=False))
     with _level_cache_lock:
-        _level_cache[(g, level, cap)] = ctx
+        _level_cache[(g, level)] = ctx
     return ctx
 
 
@@ -390,39 +392,33 @@ def max_leaves(p: UPoly) -> int:
     return worst
 
 
-def equal_mod_U(g: HomLieAlgebra, a: UPoly, b: UPoly, level: int, cap: int = DEFAULT_BASIS_CAP) -> UEquality:
+def equal_mod_U(g: HomLieAlgebra, a: UPoly, b: UPoly, level: int) -> UEquality:
     diff = a - b
     need = max_leaves(diff)
     if need > level:
         raise ValueError("operands have %d-leaf terms, above level %d" % (need, level))
-    ctx = build_level(g, level, cap)
+    ctx = build_level(g, level)
     answer = ctx.membership(diff)
     if answer.inside:
         return UEquality(True, level, context=ctx, difference=diff)
     return UEquality(False, level, residual=answer.residual)
 
 
-def equal_mod_U_auto(
-    g: HomLieAlgebra,
-    a: UPoly,
-    b: UPoly,
-    slack: int = DEFAULT_SLACK,
-    escalation_cap: int = DEFAULT_ESCALATION_CAP,
-    cap: int = DEFAULT_BASIS_CAP,
-) -> UEquality:
-    """Start at (max leaf count + slack) and escalate on negative verdicts."""
-    level = max(1, max_leaves(a - b)) + slack
-    verdict = equal_mod_U(g, a, b, level, cap)
+def equal_mod_U_auto(g: HomLieAlgebra, a: UPoly, b: UPoly,
+                     escalation_cap: int = DEFAULT_ESCALATION_CAP) -> UEquality:
+    """Start at (max leaf count + DEFAULT_SLACK) and escalate on negative verdicts."""
+    level = max(1, max_leaves(a - b)) + DEFAULT_SLACK
+    verdict = equal_mod_U(g, a, b, level)
     while not verdict.equal and level < escalation_cap:
         level += 1
-        verdict = equal_mod_U(g, a, b, level, cap)
+        verdict = equal_mod_U(g, a, b, level)
     return verdict
 
 
-def is_zero_mod_U(g: HomLieAlgebra, p: UPoly, level: int, cap: int = DEFAULT_BASIS_CAP) -> bool:
+def is_zero_mod_U(g: HomLieAlgebra, p: UPoly, level: int) -> bool:
     if not p:
         return True
-    return equal_mod_U(g, p, LinComb.zero(), level, cap).equal
+    return equal_mod_U(g, p, LinComb.zero(), level).equal
 
 
 # --------------------------------------------------------------------------
@@ -432,20 +428,17 @@ def is_zero_mod_U(g: HomLieAlgebra, p: UPoly, level: int, cap: int = DEFAULT_BAS
 class UEAmbient(Ambient):
     """U𝔤 of a fixed Hom-Lie algebra: equality is a level-bounded semi-decision.
 
-    An element is decided at its largest leaf count (at least 1) plus
-    slack; equal() escalates up to escalation_cap, and a level context
-    may hold at most cap basis trees.
+    An element is decided at its largest leaf count (at least 1) + 1;
+    equal() escalates up to escalation_cap, and no level context holds
+    more than 8000 basis trees (DEFAULT_BASIS_CAP).
     """
 
     exact = False
 
-    def __init__(self, g: HomLieAlgebra, x=None, slack: int = DEFAULT_SLACK,
-                 escalation_cap: int = DEFAULT_ESCALATION_CAP, cap: int = DEFAULT_BASIS_CAP):
+    def __init__(self, g: HomLieAlgebra, x=None, escalation_cap: int = DEFAULT_ESCALATION_CAP):
         self.g = g
         self.x = tuple(x) if x is not None else None  # default exp direction
-        self.slack = slack
         self.escalation_cap = escalation_cap
-        self.cap = cap
         self.name = "U(%s)" % g.name
         self._table = alpha_table(g)
 
@@ -454,10 +447,10 @@ class UEAmbient(Ambient):
 
     def _level_of(self, keys) -> int:
         trees = [parse(key) for key in keys]
-        return max([1] + [leaf_count(t) for t in trees if not is_unit(t)]) + self.slack
+        return max([1] + [leaf_count(t) for t in trees if not is_unit(t)]) + DEFAULT_SLACK
 
     def _key_reducer(self, level: int) -> Callable:
-        ctx = build_level(self.g, level, self.cap)
+        ctx = build_level(self.g, level)
         reduced: dict = {}
 
         def nf(key: str) -> UPoly:
@@ -471,13 +464,12 @@ class UEAmbient(Ambient):
     def is_zero(self, p: UPoly, level: Optional[int] = None) -> bool:
         if level is None:
             level = self._level_of(p.terms)
-        return is_zero_mod_U(self.g, p, level, self.cap)
+        return is_zero_mod_U(self.g, p, level)
 
     def equal(self, a: UPoly, b: UPoly) -> bool:
         if a == b:
             return True
-        verdict = equal_mod_U_auto(self.g, a, b, slack=self.slack,
-                                   escalation_cap=self.escalation_cap, cap=self.cap)
+        verdict = equal_mod_U_auto(self.g, a, b, escalation_cap=self.escalation_cap)
         if verdict.equal:
             return True
         raise OracleInconclusive(
@@ -499,12 +491,12 @@ class UEAmbient(Ambient):
         return hash((self.g, self.x))
 
 
-def reduce_tensor_U(g: HomLieAlgebra, t: LinComb, level: int, cap: int = DEFAULT_BASIS_CAP) -> LinComb:
-    return UEAmbient(g, cap=cap).reduce_tensor(t, level)
+def reduce_tensor_U(g: HomLieAlgebra, t: LinComb, level: int) -> LinComb:
+    return UEAmbient(g).reduce_tensor(t, level)
 
 
-def is_primitive_U(g: HomLieAlgebra, p: UPoly, level: Optional[int] = None, cap: int = DEFAULT_BASIS_CAP) -> bool:
-    return UEAmbient(g, cap=cap).is_primitive(p, level)
+def is_primitive_U(g: HomLieAlgebra, p: UPoly) -> bool:
+    return UEAmbient(g).is_primitive(p)
 
 
 # --------------------------------------------------------------------------

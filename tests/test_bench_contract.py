@@ -5,17 +5,22 @@ class builds through cache_info() and level builds through the size of
 ueg._level_cache, and bench/free.py replays every Equal certificate
 against GradedClassContext.row_sources.  bench/cli_child.py imports the
 CLI and at once has spans.py look its modules up in sys.modules, and
-bench/uenv.py reads grouplike.UEAmbient.  A refactor that breaks one of
-these breaks the benchmark, so each is pinned here.
+bench/uenv.py reads grouplike.UEAmbient.  spans.py wraps every function
+in its FUNCTIONS list, called or not, and uenv.py calls the U𝔤 oracle
+with fixed arguments.  A refactor that breaks one of these breaks the
+benchmark, so each is pinned here.
 """
 
+import inspect
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import homtrees
-from homtrees import freehom, trees, ueg
+from homtrees import freehom, grouplike, trees, ueg
 from homtrees.linalg import LinComb
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -91,3 +96,26 @@ def test_a_traced_cli_child_answers_and_counts(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["orders"] == [["1"], ["1", "1/2*0"], ["1", "1/2*01", "1/8*(0 0)"]]
     assert json.loads(stats.read_text())["calls"]["grouplike.exp_sequence"] == 1
+
+
+def test_every_function_spans_wraps_resolves_after_the_cli_import():
+    code = """
+import json, sys
+sys.path.insert(0, %r)
+from homtrees import cli
+import spans
+print(json.dumps([[m, a] for m, a, _ in spans.FUNCTIONS if not hasattr(sys.modules["homtrees." + m], a)]))
+""" % os.path.join(ROOT, "bench")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == []
+
+
+@pytest.mark.parametrize("fn, args, kwargs", [
+    (ueg.equal_mod_U_auto, ("g", "lhs", "rhs"), {"escalation_cap": 5}),
+    (ueg.is_primitive_U, ("g", "p"), {}),
+    (grouplike.UEAmbient, ("g", "x"), {"escalation_cap": 5}),
+    (grouplike.exp_sequence, ("s", 2, "ambient"), {}),
+])
+def test_the_calls_bench_uenv_makes_bind(fn, args, kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)

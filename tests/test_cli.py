@@ -351,6 +351,19 @@ def test_grouplike_check_malformed_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("sequence", [
+    {"orders": 5},
+    {"orders": [[1]]},
+    {"bound": True, "orders": [["1"]]},
+    {"bound": 1.5, "orders": [["1"]]},
+    {"bound": -1, "orders": [["1"]]},
+])
+def test_a_malformed_sequence_file_is_a_usage_error(capsys, tmp_path, sequence):
+    path = tmp_path / "sequence.json"
+    path.write_text(json.dumps(sequence))
+    assert_one_error_line(*run(capsys, "grouplike-check", "--file", str(path)))
+
+
 def test_verify_trees_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "trees")
     assert code == 0

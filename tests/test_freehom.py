@@ -7,7 +7,6 @@ from homtrees.freehom import (
     FREE,
     _rewrites,
     DomainError,
-    QuotientElement,
     alpha_poly,
     antipode,
     class_context,
@@ -15,13 +14,10 @@ from homtrees.freehom import (
     convolve,
     coproduct,
     equal_mod_I,
-    exp_hat,
-    exp_taylor,
     format_poly,
     graded_decompose,
     identity_op,
     invertibility_index,
-    is_fern,
     is_primitive,
     is_zero_mod_I,
     k_weighted,
@@ -29,16 +25,15 @@ from homtrees.freehom import (
     nary_product,
     normal_form,
     parse_poly,
-    realize_series,
     reduce_tensor,
     right_fern,
     tree_poly,
     u_element,
     unit_poly,
 )
-from homtrees.linalg import LinComb, RowSpace, TruncSeries
+from homtrees.grouplike import exp_sequence
+from homtrees.linalg import LinComb, RowSpace
 from homtrees.trees import (
-    UNIT,
     Leaf,
     Node,
     ParseError,
@@ -340,10 +335,6 @@ def test_k_weighted_and_ferns():
     assert k_weighted(left_fern(3), 4) == LinComb({"((1 1) 2)": 1})
     with pytest.raises(DomainError):
         k_weighted(right_fern(3), 2)
-    assert is_fern(right_fern(5)) and is_fern(left_fern(5))
-    assert is_fern(Leaf(0)) and is_fern(UNIT)
-    balanced = parse("((0 0) (0 0))")
-    assert not is_fern(balanced)
 
 
 def test_indifference_small():
@@ -360,46 +351,27 @@ def test_left_and_right_fern_products_agree():
             assert equal_mod_I(k_weighted(left_fern(n), k), k_weighted(right_fern(n), k)).equal
 
 
-def test_realize_series_exp_display():
+def test_exp_sequence_coefficients_at_one_half():
     s = Fraction(1, 2)
-    g = exp_hat(s, 2)
-    assert [c.representative for c in g.coeffs] == [
-        unit_poly(),
-        LinComb({"01": s}),
-        LinComb({"(0 0)": s * s / 2}),
-    ]
-    assert realize_series(TruncSeries([Fraction(1)]), 3).coeffs[0].representative == unit_poly()
-
-
-def test_realize_series_validates_order():
-    with pytest.raises(DomainError):
-        realize_series(exp_taylor(1, 4), 3)
-    with pytest.raises(DomainError):
-        realize_series(exp_taylor(1, 1), 0)
+    g = exp_sequence(s, 2, FREE).terms[2]
+    assert g.coeffs == (unit_poly(), LinComb({"01": s}), LinComb({"(0 0)": s * s / 2}))
+    assert exp_sequence(1, 0, FREE).terms[0].coeffs == (unit_poly(),)
 
 
 def test_antipode_of_realization_flips_the_parameter():
     p = 3
-    g = exp_hat(Fraction(1), p)
-    h = exp_hat(Fraction(-1), p)
+    g = exp_sequence(1, p, FREE).terms[p]
+    h = exp_sequence(-1, p, FREE).terms[p]
     for i in range(p + 1):
-        assert equal_mod_I(antipode(g.coeffs[i].representative), h.coeffs[i].representative).equal
+        assert equal_mod_I(antipode(g.coeffs[i]), h.coeffs[i]).equal
 
 
 def test_realization_weight_bump_is_alpha_exactly():
+    seq = exp_sequence(Fraction(1, 2), 4, FREE)
     for p in (2, 3):
-        low = exp_hat(Fraction(1, 2), p)
-        high = realize_series(exp_taylor(Fraction(1, 2), p), p + 1)
+        low, high = seq.terms[p], seq.terms[p + 1]
         for i in range(p + 1):
-            assert high.coeffs[i].representative == alpha_poly(low.coeffs[i].representative)
-
-
-def test_quotient_element_equality():
-    a = QuotientElement(parse_poly("((1 2) (2 1))"))
-    b = QuotientElement(parse_poly("(2 (2 (1 0)))"))
-    assert a == b
-    assert QuotientElement(u_element()) != QuotientElement(LinComb.zero())
-    assert not QuotientElement(alpha_poly(u_element()))
+            assert high.coeffs[i] == alpha_poly(low.coeffs[i])
 
 
 def test_invertibility_index_of_small_trees():
@@ -410,7 +382,7 @@ def test_invertibility_index_of_small_trees():
 
 
 def test_invertibility_index_of_exp_series():
-    result = invertibility_index(exp_hat(Fraction(1), 2))
+    result = invertibility_index(exp_sequence(1, 2, FREE).terms[2])
     assert result.found and result.index == 0
 
 

@@ -206,8 +206,6 @@ def test_level_sl2_pbw_count():
 
 def test_resource_limit():
     with pytest.raises(ResourceLimit):
-        build_level(aff2(), 3, cap=10)
-    with pytest.raises(ResourceLimit):
         build_level(sl2_twisted(), 6)  # needs 34491 > DEFAULT_BASIS_CAP
 
 
