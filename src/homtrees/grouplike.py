@@ -26,9 +26,16 @@ from typing import Optional
 
 from .ambient import OracleInconclusive
 from .freehom import FREE, class_of
-from .homlie import load_algebra
 from .linalg import LinComb, RowSpace, TruncSeries, frac, series_multiply
-from .ueg import UEAmbient
+
+
+def __getattr__(name):
+    # ueg and homlie load only on the U𝔤 path; grouplike.UEAmbient still resolves
+    if name == "UEAmbient":
+        from .ueg import UEAmbient
+
+        return UEAmbient
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 @dataclass
@@ -294,6 +301,9 @@ def load_sequence(source) -> GroupLikeSequence:
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
         raise ValueError("'bound' must be a non-negative integer")
     if "algebra" in data:
+        from .homlie import load_algebra
+        from .ueg import UEAmbient
+
         ambient = UEAmbient(load_algebra(data["algebra"]))
     else:
         ambient = FREE

@@ -29,11 +29,42 @@ policy is fixed: start at the largest leaf count + 1 (DEFAULT_SLACK),
 escalate to escalation_cap, and build no level of more than 8000 basis
 trees (DEFAULT_BASIS_CAP; ResourceLimit beyond it).
 
-A level is eliminated without history, since verdicts, residuals and
-normal forms need none.  The certificate of an Equal verdict is worked
-out when it is first read: the level context then regenerates its rows
-in build order and keeps one tracked RowSpace over them, so the
-certificate is the one a tracked build would have given.
+A level's span W is held by a LevelSpace, which keeps no history, since
+verdicts, residuals and normal forms need none.  It works in two steps.
+
+  1. Contract the binomial rows.  A two-term row a·k₁ + b·k₂ says
+     k₁ ≡ (−b/a)·k₂, a weighted edge.  A union-find that keeps each
+     key's ratio to its parent joins the keys into components; the
+     representative of a component is its largest key in string order
+     (as in freehom.ClassComponents), and every key k of it gets the
+     ratio r with k ≡ r·rep modulo the binomial span B.  An edge that
+     closes a cycle whose ratios disagree (a cycle whose product is not
+     1) puts the representative, hence the whole component, into B.
+  2. Eliminate the rest.  The projection π onto V/B sends k to r·rep,
+     to 0 in a component inside B, and leaves keys that no binomial
+     touches as they are.  The other rows (one term, or three or more)
+     are projected and eliminated by one RowSpace without history;
+     reduce(v) is that space's reduction of π(v).
+
+Why the residuals are RowSpace's over all the rows.  Elimination with
+smallest-key pivots gives the reduced residual of v: the unique vector
+of v + W supported on the keys that are not pivots of W (a key p is a
+pivot when some vector of W has p as its smallest key).  π(v) − v and
+π(W) both lie in W, since k − π(k) ∈ B ⊆ W, so reduce(v) lies in v + W.
+Every non-representative key k is a pivot of W, because k − r·rep ∈ W
+and k < rep; so is every key of a component inside B.  Every pivot of
+the projected span is a pivot of W, because π(W) ⊆ W, and is a
+representative or an untouched key.  These pivots are distinct keys,
+and their number is dim B + dim π(W) = dim W, so they are all the
+pivots of W: reduce(v) is supported off them, and it is the reduced
+residual.  For the same reason rank is the number of keys that
+do not represent their component, plus the representatives of the
+components inside B, plus the rank of the second step.
+
+The certificate of an Equal verdict is worked out when it is first
+read: the level context then regenerates its rows in build order and
+keeps one tracked RowSpace over them, so the certificate is the one a
+tracked build would have given.
 
 Every settled term and every relation row goes through one AlphaTable
 per algebra: the supports of α^w(e_i), and shape templates that render
@@ -45,6 +76,7 @@ decoration of that shape.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
@@ -52,7 +84,7 @@ from typing import Callable, Optional
 
 from .ambient import Ambient, OracleInconclusive, ResourceLimit
 from .homlie import HomLieAlgebra, HomLieMorphism, read_element, read_symbol, validate_morphism
-from .linalg import LinComb, RowSpace
+from .linalg import LinComb, Membership, RowSpace
 from .trees import (
     Leaf,
     Node,
@@ -71,6 +103,7 @@ UPoly = LinComb
 DEFAULT_BASIS_CAP = 8000
 DEFAULT_SLACK = 1
 DEFAULT_ESCALATION_CAP = 6
+LEVEL_CACHE_SIZE = 128  # level contexts kept; the least recently used goes first
 
 
 class MorphismInvalid(ValueError):
@@ -295,22 +328,119 @@ def _level_trees(table: AlphaTable, level: int):
                 yield text, plan.rows(table, text, texts, weights, indices)
 
 
+class LevelSpace:
+    """The span of one level's relation rows (see the module docstring).
+
+    Binomial rows are contracted by a weighted union-find; the other rows
+    are projected onto the representatives and eliminated by one RowSpace
+    without history.  The interface is RowSpace's without certificates:
+    rank, reduce and membership (verdict and residual).
+    """
+
+    def __init__(self, rows):
+        link: dict = {}  # key -> (parent key, r) with key ≡ r·parent; roots are absent
+        spanned: set = set()  # roots whose whole component lies in the span
+
+        def find(key):
+            """(root, r) with key ≡ r·root, r None for 1; keys on the way are relinked to the root."""
+            hop = link.get(key)
+            if hop is None:
+                return key, None
+            up, r = hop
+            hop = link.get(up)
+            if hop is None:
+                return up, r
+            path = [(key, r)]
+            while hop is not None:
+                path.append((up, hop[1]))
+                up = hop[0]
+                hop = link.get(up)
+            r = 1
+            for step_key, step in reversed(path):
+                r = step * r
+                link[step_key] = (up, r)
+            return up, r
+
+        rest = []
+        for row in rows:
+            terms = row.terms
+            if len(terms) != 2:
+                rest.append(row)
+                continue
+            (k1, a), (k2, b) = terms.items()
+            root1, r1 = find(k1)
+            root2, r2 = find(k2)
+            # a·root1 + b·root2 lies in the span once the ratios are folded in
+            if r1 is not None:
+                a = a * r1
+            if r2 is not None:
+                b = b * r2
+            if root1 == root2:
+                if a + b:
+                    spanned.add(root1)
+                continue
+            if root1 > root2:
+                root1, root2, a, b = root2, root1, b, a
+            link[root1] = (root2, -b / a)
+            if root1 in spanned:
+                spanned.discard(root1)
+                spanned.add(root2)
+        # key -> (representative, r), or None for a key of a component in the span
+        self._image = image = {root: None for root in spanned}
+        for key in list(link):
+            root, r = find(key)
+            image[key] = None if root in spanned else (root, r)
+        self._space = RowSpace((self._project(row) for row in rest), track=False)
+        self.rank = len(link) + len(spanned) + self._space.rank
+
+    def _project(self, v: LinComb) -> LinComb:
+        """π(v): every key as its ratio times its representative; untouched keys stay."""
+        image = self._image
+        out: dict = {}
+        for key, coeff in v.terms.items():
+            if key in image:
+                hit = image[key]
+                if hit is None:
+                    continue
+                key, r = hit
+                coeff = coeff * r
+            acc = out.get(key)
+            if acc is None:
+                out[key] = coeff
+            else:
+                acc = acc + coeff
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        projected = LinComb()
+        projected.terms = out
+        return projected
+
+    def reduce(self, v: LinComb) -> LinComb:
+        return self._space.reduce(self._project(v))
+
+    def membership(self, v: LinComb) -> Membership:
+        return self._space.membership(self._project(v))
+
+
 @dataclass(eq=False)
 class LevelContext:
     """Every relation row over basis trees with at most `level` leaves.
 
-    space is the span without history: reduce and membership verdicts
+    space is the span without history, a LevelSpace: binomial rows
+    contracted, the rest eliminated, and reduce and membership verdicts
     come from it.  certificate(p) recombines p from relation rows; its
     first call regenerates the rows from the basis in build order (row i
-    comes from row_sources[i]) and keeps one tracked RowSpace over them,
-    so each later call is a query.
+    comes from row_sources[i]) and keeps one tracked RowSpace over all of
+    them, so each later call is a query.
     """
 
     g: HomLieAlgebra
     level: int
     basis: tuple
     row_sources: tuple  # ("R1"|"R2", base tree text, node path) per row
-    space: RowSpace
+    space: LevelSpace
     _tracked: Optional[RowSpace] = field(default=None, repr=False)
 
     def reduce(self, p: UPoly) -> UPoly:
@@ -328,7 +458,7 @@ class LevelContext:
         return self._tracked.membership(p).certificate
 
 
-_level_cache: dict = {}
+_level_cache: OrderedDict = OrderedDict()  # (g, level) -> LevelContext, oldest use first
 _level_cache_lock = threading.Lock()
 _tracked_lock = threading.Lock()
 
@@ -339,8 +469,9 @@ def build_level(g: HomLieAlgebra, level: int) -> LevelContext:
         raise ValueError("level must be at least 1")
     with _level_cache_lock:
         cached = _level_cache.get((g, level))
-    if cached is not None:
-        return cached
+        if cached is not None:
+            _level_cache.move_to_end((g, level))
+            return cached
     size = sum(len(enumerate_shapes(n)) * g.dim ** n for n in range(1, level + 1))
     if size > DEFAULT_BASIS_CAP:
         raise ResourceLimit(
@@ -355,9 +486,11 @@ def build_level(g: HomLieAlgebra, level: int) -> LevelContext:
         for row, source in tree_rows:
             rows.append(row)
             sources.append(source)
-    ctx = LevelContext(g, level, tuple(basis), tuple(sources), RowSpace(rows, track=False))
+    ctx = LevelContext(g, level, tuple(basis), tuple(sources), LevelSpace(rows))
     with _level_cache_lock:
         _level_cache[(g, level)] = ctx
+        if len(_level_cache) > LEVEL_CACHE_SIZE:
+            _level_cache.popitem(last=False)
     return ctx
 
 

@@ -4,12 +4,15 @@ Each test runs one criterion from homtrees.suites, prints a one-line
 pass/fail verdict with the elapsed time (visible under ``pytest -s``, or
 in the captured output when a test fails), and asserts both the verdict
 and the budget.  This file sorts first alphabetically among the test
-modules, so the timings below are cold-cache timings.
+modules, so the timings below are cold-cache timings.  The last test
+pins the exact stdout of `homtrees --machine verify --suite all`, printed
+from the reports the criteria tests made.
 """
 
+import hashlib
 import time
 
-from homtrees import suites
+from homtrees import cli, suites
 
 # seconds, per criterion
 BUDGETS = {
@@ -28,11 +31,17 @@ BUDGETS = {
     13: 60.0,
 }
 
+# sha256 of `homtrees --machine verify --suite all` stdout, recorded at
+# the commit before U𝔤 levels contracted their binomial rows
+VERIFY_ALL_SHA256 = "b79f3d1be39aa0d25ed84db59f54d74f19d8bdcccfee209d8c5ac18d8c4156b3"
+
+REPORTS = {}  # criterion number -> its report, for the verify pin
+
 
 def _run(number):
     budget = BUDGETS[number]
     start = time.perf_counter()
-    report = suites.run_criterion(number)
+    report = REPORTS[number] = suites.run_criterion(number)
     elapsed = time.perf_counter() - start
     status = "pass" if report.ok else "FAIL"
     print(
@@ -108,3 +117,18 @@ def test_criterion_12_functoriality():
 
 def test_criterion_13_convolution_laws():
     _run(13)
+
+
+def test_verify_all_machine_stdout_is_pinned(monkeypatch, capsys):
+    run_criterion = suites.run_criterion
+
+    def reuse(number, escalation_cap=None):
+        if escalation_cap is None and number in REPORTS:
+            return REPORTS[number]
+        return run_criterion(number, escalation_cap)
+
+    monkeypatch.setattr(suites, "run_criterion", reuse)
+    capsys.readouterr()
+    assert cli.run(["--machine", "verify", "--suite", "all"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_ALL_SHA256

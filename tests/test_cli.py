@@ -414,8 +414,9 @@ def test_importing_the_cli_runs_only_the_free_side_modules():
     (["antipode-index", "--expr", "(0 0)"], []),
     (["validate", SL2], ["homlie"]),
     (["equal", "--algebra", SL2, "--lhs", "0:E", "--rhs", "0:E"], ["homlie", "ueg"]),
-    (["exp", "--scalar", "1", "--order", "1"], ["grouplike", "homlie", "ueg"]),
+    (["exp", "--scalar", "1", "--order", "1"], ["grouplike"]),
     (["verify", "--suite", "trees"], ["grouplike", "homlie", "suites", "ueg"]),
+    (["grouplike-check", "--file", os.path.join(DATA, "seq_exp_free.json")], ["grouplike"]),
 ])
 def test_a_command_runs_only_the_modules_it_uses(argv, modules):
     code = "import contextlib, io\nfrom homtrees import cli\n" \

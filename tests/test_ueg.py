@@ -326,8 +326,9 @@ def test_relation_rows_and_levels_match_the_tree_by_tree_reference():
             assert list(ctx.basis) == basis
             assert list(ctx.row_sources) == [source for _, source in rows]
             assert ctx.space.rank == reference.rank
-            assert [list(r.terms.items()) for r in ctx.space.rows()] == \
-                [list(r.terms.items()) for r in reference.rows()]
+            # the residual of every basis key pins the reduced echelon form
+            for key in basis:
+                assert ctx.space.reduce(LinComb.single(key)) == reference.reduce(LinComb.single(key))
 
 
 def test_certificates_are_built_on_demand(monkeypatch):
@@ -347,7 +348,8 @@ def test_certificates_are_built_on_demand(monkeypatch):
         for level in (2, 3, 4):
             del builds[:]
             ctx = build_level(g, level)
-            assert builds == [False]  # the level space keeps no history
+            # the level space eliminates its rows that are not binomials once, without history
+            assert builds == [False]
             rows = [pair for text in ctx.basis for pair in relation_rows_for(g, parse(text))]
             assert [source for _, source in rows] == list(ctx.row_sources)
             reference = RowSpace(row for row, _ in rows)
@@ -375,6 +377,76 @@ def test_certificates_are_built_on_demand(monkeypatch):
             assert lonely.certificate is None
             assert lonely.residual
             assert builds == [False, True]
+
+
+# RowSpace over the same rows is the reference engine for LevelSpace
+
+
+def _assert_same_span(space, reference, keys, rng):
+    assert space.rank == reference.rank
+    for key in keys:
+        v = LinComb.single(key)
+        assert space.reduce(v) == reference.reduce(v)
+    for _ in range(20):
+        v = LinComb((rng.choice(keys), rng.choice((1, -2, Fraction(1, 3)))) for _ in range(rng.randint(1, 4)))
+        for w in (v, v - reference.reduce(v)):
+            got, want = space.membership(w), reference.membership(w)
+            assert (got.inside, got.certificate, got.residual) == (want.inside, None, want.residual)
+
+
+@pytest.mark.parametrize("g, level", [
+    (aff2(), 5),
+    (aff2(((1, 0), (0, -1))), 5),
+    (aff2(((1, 0), (0, Fraction(2, 3)))), 5),
+    (aff2(((1, 0), (0, 3))), 5),
+    (aff2(((0, 0), (0, 0))), 5),
+    (aff2(((1, 1), (0, 1))), 4),
+    (load_algebra(SL2_JSON), 4),
+], ids=["aff2-id", "aff2-minus1", "aff2-2/3", "aff2-3", "aff2-alpha0", "aff2-mixing", "sl2-twisted"])
+def test_level_space_matches_row_space_on_level_rows(g, level):
+    basis, rows = [], []
+    for text, tree_rows in ueg._level_trees(ueg.alpha_table(g), level):
+        basis.append(text)
+        rows.extend(row for row, _ in tree_rows)
+    _assert_same_span(ueg.LevelSpace(rows), RowSpace(rows, track=False), basis, random.Random(level))
+
+
+@pytest.mark.parametrize("rows, rank, zeros", [
+    # a − 2b and b − a close a cycle whose product is 2: both keys lie in the span
+    ([{"a": 1, "b": -2}, {"b": 1, "a": -1}], 2, "ab"),
+    # a − 2b, b − 3c, a − 6c agree: c represents all three
+    ([{"a": 1, "b": -2}, {"b": 1, "c": -3}, {"c": 6, "a": -1}], 2, ""),
+    # an inconsistent cycle, then merged with a consistent pair: all five lie in the span
+    ([{"d": 1, "e": 1}, {"a": 1, "b": Fraction(1, 2)}, {"b": 2, "c": -1}, {"c": 1, "a": 1},
+      {"b": 3, "d": -1}], 5, "abcde"),
+    # a monomial row, a three-term row over contracted keys, keys no row touches
+    ([{"c": 5}, {"a": 2, "b": -1}, {"a": 1, "b": 1, "d": 1}], 3, "c"),
+])
+def test_level_space_matches_row_space_on_synthetic_rows(rows, rank, zeros):
+    rows = [LinComb(row) for row in rows]
+    space = ueg.LevelSpace(rows)
+    keys = list("abcdexyz")
+    assert space.rank == rank
+    assert [key for key in keys if not space.reduce(LinComb.single(key))] == list(zeros)
+    _assert_same_span(space, RowSpace(rows, track=False), keys, random.Random(rank))
+
+
+def test_the_level_cache_keeps_the_most_recently_used_contexts():
+    ueg._level_cache.clear()
+    algebras = [make_algebra("fresh-%d" % i, ("x", "y"), {(0, 1): (0, 1)}, ((1, 0), (0, i + 2)))
+                for i in range(100)]
+    for g in algebras:
+        for level in (1, 2):
+            build_level(g, level)
+    assert len(ueg._level_cache) == ueg.LEVEL_CACHE_SIZE < 200
+    kept = build_level(algebras[50], 1)  # a hit makes it the most recent
+    build_level(algebras[0], 1)  # evicted before, built again
+    assert len(ueg._level_cache) == ueg.LEVEL_CACHE_SIZE
+    assert build_level(algebras[50], 1) is kept
+    oldest = (200 - ueg.LEVEL_CACHE_SIZE) // 2  # the first algebra whose contexts stayed
+    assert (algebras[oldest], 1) not in ueg._level_cache  # made room for the rebuild
+    assert (algebras[oldest], 2) in ueg._level_cache
+    ueg._level_cache.clear()
 
 
 def test_equality_needs_matching_level():
