@@ -31,8 +31,18 @@ class OracleInconclusive(RuntimeError):
         self.verdict = verdict
 
 
+# Δ of an n-leaf tree has 2^n terms: a right comb took 1.2 s at 14 leaves
+# and 6.5–7.4 s at 16 (2 vCPU, Python 3.11.7)
+COPRODUCT_LEAF_CAP = 16
+
+
 class ResourceLimit(RuntimeError):
-    """A level context would exceed ueg.DEFAULT_BASIS_CAP basis trees."""
+    """A stated budget would be exceeded.
+
+    A U𝔤 level context would hold more than ueg.DEFAULT_BASIS_CAP basis
+    trees, or a coproduct would split a tree of more than
+    COPRODUCT_LEAF_CAP leaves.
+    """
 
 
 def identity_op(p: LinComb) -> LinComb:
@@ -112,10 +122,16 @@ class Ambient:
 
         Δ(φ∨ψ) = Δφ ∨ Δψ, and trees.splits computes it that way; its unit
         rule shifts surviving weights and settling stores them.  Δ𝟙 = 𝟙⊗𝟙.
+        A tree of more than COPRODUCT_LEAF_CAP leaves raises ResourceLimit.
         """
         out = []
         for key, coeff in p.items():
-            for left, right in splits(parse(key)):
+            t = parse(key)
+            n = 0 if is_unit(t) else leaf_count(t)
+            if n > COPRODUCT_LEAF_CAP:
+                raise ResourceLimit("the coproduct of a %d-leaf tree has 2^%d terms (cap %d leaves)"
+                                    % (n, n, COPRODUCT_LEAF_CAP))
+            for left, right in splits(t):
                 settled = self._settle(right, 1)
                 for lk, lc in self._settle(left, coeff):
                     for rk, rc in settled:

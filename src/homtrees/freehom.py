@@ -32,6 +32,15 @@ with these rows is exactly the statement that contexts map generator
 instances to such pairs and that α maps generator instances to
 generator instances.
 
+A class is built from its signature alone.  A root split at k hands
+s[:k] − 1 and s[k:] − 1 to the two subtrees, so every weight is forced,
+and only splits whose halves both fit are followed (trees.build_class).
+Each row is a rotation that stays inside the class: α(A)∨(B∨C↓) keeps
+every leaf's s-value of (A∨B)∨C.  A subtree over a sub-signature, a
+piece, is made once and shared by all the trees of the class that hold
+it, together with its text, the texts of its shifts α(A) and C↓ and its
+rewrite texts, so a class is built as texts without a tree value.
+
 Every row is a ±1 binomial t − t′, so no elimination is needed: read
 the rows as the edges of a graph on the class's basis trees, and the
 span of the rows is exactly the set of vectors whose coefficients sum
@@ -58,19 +67,23 @@ from .trees import (
     Leaf,
     Node,
     Reader,
-    alpha_shift,
+    build_class,
     codec_leaf,
-    enumerate_class,
     is_unit,
     leaf_count,
     parse,
     s_signature,
     to_text,
-    weights_of,
 )
 
 # A TreePoly is a LinComb whose keys are canonical codec strings.
 TreePoly = LinComb
+
+# entries kept in the class and normal-form caches, the least recently used
+# going first: over 4× the 1,340 classes and 3,087 normal forms that a whole
+# `verify --suite all` run keeps
+CLASS_CACHE_SIZE = 8192
+NF_CACHE_SIZE = 16384
 
 
 class DomainError(ValueError):
@@ -104,26 +117,6 @@ def graded_decompose(p: TreePoly) -> dict:
         bucket = buckets.setdefault(cls, [])
         bucket.append((key, coeff))
     return {cls: LinComb(pairs) for cls, pairs in buckets.items()}
-
-
-def _rewrites(t: Node) -> list:
-    """All single-node Hom-associativity rewrites of t, in preorder.
-
-    A node carrying (A∨B)∨C with min weight of C ≥ 1 may be replaced by
-    α(A)∨(B∨C↓).  Returns the full rewritten trees: the root's own
-    rewrite, then the left child's rewrites, then the right child's.
-    """
-    if isinstance(t, Leaf):
-        return []
-    left, right = t.left, t.right
-    out = []
-    if isinstance(left, Node) and min(weights_of(right)) >= 1:
-        out.append(Node(alpha_shift(left.left), Node(left.right, alpha_shift(right, -1))))
-    for r in _rewrites(left):
-        out.append(Node(r, right))
-    for r in _rewrites(right):
-        out.append(Node(left, r))
-    return out
 
 
 class ClassComponents:
@@ -208,21 +201,73 @@ class GradedClassContext(Record):
         self.space = space
 
 
-@lru_cache(maxsize=None)
+def _leaf_piece(weight: int) -> tuple:
+    return (str(weight), None, None, weight)
+
+
+def _node_piece(left: tuple, right: tuple) -> tuple:
+    return ("(%s %s)" % (left[0], right[0]), left, right, min(left[3], right[3]))
+
+
+def _class_rows(n: int, signature: tuple) -> tuple:
+    """The basis texts of the class (n ≥ 1) and its rows as (text, rewritten text).
+
+    A piece is (text, left piece, right piece, least weight), with None
+    children for a leaf; build_class makes each one once per
+    sub-signature.  The texts of α(A) and C↓ and the rewrite texts of a
+    piece are worked out once and composed into every tree holding it.
+    A tree's rewrites come in preorder: the root's rotation, then the
+    left child's rewrites, then the right child's.
+    """
+    pieces = sorted(build_class(n, signature, _leaf_piece, _node_piece), key=lambda piece: piece[0])
+    raised: dict = {}
+    lowered: dict = {}
+    rewritten: dict = {}
+
+    def shift(piece: tuple, k: int, memo: dict) -> str:
+        text, left, right, least = piece
+        out = memo.get(text)
+        if out is None:
+            out = str(least + k) if left is None else "(%s %s)" % (shift(left, k, memo), shift(right, k, memo))
+            memo[text] = out
+        return out
+
+    def rewrites(piece: tuple) -> list:
+        text, left, right, _ = piece
+        if left is None:
+            return []
+        out = rewritten.get(text)
+        if out is None:
+            out = []
+            if left[1] is not None and right[3] >= 1:
+                out.append("(%s (%s %s))" % (shift(left[1], 1, raised), left[2][0], shift(right, -1, lowered)))
+            right_text = right[0]
+            for r in rewrites(left):
+                out.append("(%s %s)" % (r, right_text))
+            left_text = left[0]
+            for r in rewrites(right):
+                out.append("(%s %s)" % (left_text, r))
+            rewritten[text] = out
+        return out
+
+    basis = tuple(piece[0] for piece in pieces)
+    if basis == ("1",):
+        basis = ("01",)  # the weight-1 leaf: a bare "1" is the unit
+    return basis, tuple((piece[0], r) for piece in pieces for r in rewrites(piece))
+
+
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
 def class_context(n: int, signature: tuple) -> GradedClassContext:
     if n == 0:
         if signature != ():
             raise ValueError("the unit class has the empty signature")
         basis, sources = ("1",), ()
     else:
-        trees = enumerate_class(n, signature)
-        basis = tuple(to_text(t) for t in trees)
-        sources = tuple((text, to_text(rewritten))
-                        for t, text in zip(trees, basis) for rewritten in _rewrites(t))
+        basis, sources = _class_rows(n, signature)
     return GradedClassContext(n, tuple(signature), basis, sources, ClassComponents(basis, sources))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=NF_CACHE_SIZE)
 def _nf_key(key: str) -> LinComb:
     cls = class_of(key)
     ctx = class_context(*cls)

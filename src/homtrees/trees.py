@@ -276,40 +276,57 @@ def enumerate_shapes(n: int) -> tuple[Shape, ...]:
     return tuple(out)
 
 
-def enumerate_class(n: int, s: SSignature) -> list[Tree]:
-    """All weighted n-trees with the given s-signature, sorted by codec text.
+def build_class(n: int, s: SSignature, leaf: Callable, node: Callable) -> tuple:
+    """The weighted n-trees with s-signature s, made by leaf(weight) and node(left, right).
 
     A shape contributes iff every leaf satisfies depth_i <= s_i, in which
     case the weights are forced: a_i = s_i - depth_i.  The trees are
     built straight from the signature: a root split at k puts s[:k] − 1
     on the left subtree and s[k:] − 1 on the right.  Only splits whose
     halves both have trees are followed, so the work stays proportional
-    to the class even when a half alone would hold many trees.
+    to the class even when a half alone would hold many trees.  Each
+    sub-signature is built once, so trees share the values made for
+    their common subtrees.  Trees come by root split, then left subtree,
+    then right subtree; the class is empty when no shape fits.
     """
     s = tuple(s)
     if len(s) != n:
         raise ValueError("signature length %d does not match leaf count %d" % (len(s), n))
+    fitting: dict = {}
+    built: dict = {}
 
-    @lru_cache(maxsize=None)
     def fits(sig: tuple) -> bool:
-        if min(sig) < 0:
-            return False
-        return len(sig) == 1 or any(True for _ in halves(sig))
+        if len(sig) == 1:
+            return sig[0] >= 0
+        ok = fitting.get(sig)
+        if ok is None:
+            # every leaf lies below the root; one fitting split is enough
+            ok = fitting[sig] = min(sig) >= 1 and any(True for _ in halves(sig))
+        return ok
 
     def halves(sig: tuple):
+        low = tuple([x - 1 for x in sig])
         for k in range(1, len(sig)):
-            left = tuple(x - 1 for x in sig[:k])
-            right = tuple(x - 1 for x in sig[k:])
+            left, right = low[:k], low[k:]
             if fits(left) and fits(right):
                 yield left, right
 
-    @lru_cache(maxsize=None)
     def build(sig: tuple) -> tuple:
-        if len(sig) == 1:
-            return (Leaf(sig[0]),)
-        return tuple(Node(a, b) for left, right in halves(sig) for a in build(left) for b in build(right))
+        out = built.get(sig)
+        if out is None:
+            if len(sig) == 1:
+                out = (leaf(sig[0]),)
+            else:
+                out = tuple(node(a, b) for left, right in halves(sig) for a in build(left) for b in build(right))
+            built[sig] = out
+        return out
 
-    return sorted(build(s), key=to_text) if fits(s) else []
+    return build(s) if fits(s) else ()
+
+
+def enumerate_class(n: int, s: SSignature) -> list[Tree]:
+    """All weighted n-trees with the given s-signature, sorted by codec text (see build_class)."""
+    return sorted(build_class(n, s, Leaf, Node), key=to_text)
 
 
 # --------------------------------------------------------------------------
@@ -484,7 +501,12 @@ def codec_leaf(r: Reader) -> Leaf:
     return Leaf(weight, name)
 
 
-@lru_cache(maxsize=None)
+# texts whose trees are kept, the least recently used going first: over 4×
+# the 4,337 texts that a whole `verify --suite all` run parses
+PARSE_CACHE_SIZE = 32768
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(text: str) -> Element:
     """Inverse of to_text.  Raises ParseError (with .position) on bad input."""
     if text.strip(" ") == "1":

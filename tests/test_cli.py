@@ -53,6 +53,15 @@ def test_nf_too_deeply_nested_is_inconclusive(capsys):
     assert "Traceback" not in err
 
 
+def test_coproduct_of_a_25_leaf_comb_is_inconclusive(capsys):
+    comb = "0"
+    for _ in range(24):
+        comb = "(0 %s)" % comb
+    code, out, err = run(capsys, "--machine", "coproduct", "--expr", comb)
+    assert (code, out) == (3, "")
+    assert err == "inconclusive: the coproduct of a 25-leaf tree has 2^25 terms (cap 16 leaves)\n"
+
+
 def test_nf_of_a_sixteen_leaf_comb_is_the_comb(capsys):
     comb = "(0 " * 15 + "0" + ")" * 15
     code, out, _ = run(capsys, "nf", "--expr", comb)

@@ -5,7 +5,6 @@ import pytest
 
 from homtrees.freehom import (
     FREE,
-    _rewrites,
     DomainError,
     alpha_poly,
     antipode,
@@ -41,11 +40,14 @@ from homtrees.trees import (
     enumerate_class,
     enumerate_shapes,
     graft,
+    leaf_count,
     parse,
+    s_signature,
     to_text,
     weights_of,
     with_weights,
 )
+from tree_path import class_rows, rewrites
 
 
 def random_tree(rng, max_leaves=3, max_weight=2):
@@ -194,6 +196,54 @@ def test_class_context_examples():
     assert answer.inside
 
 
+def _class_rows_of(n, s):
+    ctx = class_context(n, s)
+    return ctx.basis, ctx.row_sources
+
+
+def test_class_build_matches_the_tree_path():
+    rng = random.Random(20261019)
+    seen = set()
+    nonempty = rows = 0
+    while nonempty < 300:
+        # signatures of real trees (never empty), and drawn ones (often empty)
+        if rng.random() < 0.75:
+            t = random_tree(rng, max_leaves=9, max_weight=2)
+            n, s = leaf_count(t), s_signature(t)
+        else:
+            n = rng.randint(1, 9)
+            s = tuple(rng.randint(-1, n) for _ in range(n))
+        if s in seen:
+            continue
+        seen.add(s)
+        expected = class_rows(n, s)
+        assert _class_rows_of(n, s) == expected, s
+        nonempty += bool(expected[0])
+        rows += len(expected[1])
+    assert len(seen) > nonempty and rows > 10000
+
+
+def test_class_build_edge_cases():
+    assert _class_rows_of(1, (1,)) == (("01",), ())
+    assert _class_rows_of(1, (0,)) == (("0",), ())
+    assert _class_rows_of(2, (0, 0)) == ((), ())
+    assert _class_rows_of(3, (-1, 2, 2)) == ((), ())
+    assert _class_rows_of(0, ()) == (("1",), ())
+    with pytest.raises(ValueError):
+        class_context(0, (1,))
+    with pytest.raises(ValueError, match="signature length 1 does not match leaf count 2"):
+        class_context(2, (1,))
+    right, left = Leaf(0), Leaf(0)
+    for _ in range(15):
+        right = Node(Leaf(0), right)
+    for _ in range(39):
+        left = Node(left, Leaf(0))
+    # every proper left part of the 40-leaf class holds many trees, none completes
+    for comb in (right, left):
+        n, s = leaf_count(comb), s_signature(comb)
+        assert _class_rows_of(n, s) == class_rows(n, s) == ((to_text(comb),), ())
+
+
 def _replay(ctx, certificate) -> LinComb:
     out = LinComb.zero()
     for idx, coeff in certificate.items():
@@ -267,9 +317,9 @@ def test_rewrites_match_the_closure_chain_reference():
         for t in enumerate_class(n, s):
             decorated = with_weights(t, weights_of(t), [rng.choice("xyz") for _ in range(n)])
             for tree in (t, decorated):
-                assert _rewrites(tree) == reference_rewrites(tree), tree
+                assert rewrites(tree) == reference_rewrites(tree), tree
                 trees += 1
-                rewritten += len(_rewrites(tree))
+                rewritten += len(rewrites(tree))
     assert trees > 2000 and rewritten > 2000
 
 
@@ -432,3 +482,17 @@ def test_parse_poly_errors():
         parse_poly("1 1")
     with pytest.raises(ParseError):
         parse_poly("x*(0 0)")
+
+
+def test_the_parse_class_and_normal_form_caches_are_bounded():
+    from homtrees import freehom, trees
+
+    for fn, bound, fill in (
+        (trees.parse, trees.PARSE_CACHE_SIZE, lambda k: trees.parse(str(k))),
+        (freehom.class_context, freehom.CLASS_CACHE_SIZE, lambda k: class_context(1, (k,))),
+        (freehom._nf_key, freehom.NF_CACHE_SIZE, lambda k: freehom._nf_key(str(k))),
+    ):
+        for k in range(bound + 10):
+            fill(k)
+        assert fn.cache_info().currsize == bound
+        fn.cache_clear()

@@ -831,13 +831,13 @@ def weighted_keys(g, max_n, max_w):
 
 def direct_rowspace(g, max_n, max_w):
     """Weighted-tree ideal without absorption: explicit weight-step rows."""
-    from homtrees.freehom import _rewrites
+    from tree_path import rewrites
 
     rows = []
     for t in weighted_keys(g, max_n, max_w):
         text = to_text(t)
         # Hom-associativity moves, reusing the weighted rewriter
-        for rewritten in _rewrites(t):
+        for rewritten in rewrites(t):
             rows.append(LinComb({text: 1, to_text(rewritten): -1}))
         # single alpha steps on any positively weighted leaf
         rows.extend(_weight_step_rows(g, t))
