@@ -11,13 +11,14 @@ RowSpace serves the rows that are not binomials.  In U𝔤 it eliminates
 the rows a level space (ueg.LevelSpace) has left once it contracted the
 binomial ones, and, when a certificate is read, all of a level's rows
 with history.  It also serves the order-p checks of group-like sequences
-(grouplike) and the kernel computations of homlie.  Its elimination keeps a column index (key → the pivots whose rows hold
+(grouplike) and the kernel computations of homlie.  The free quotient
+𝕋/I has only ±1 binomial rows and decides them as graph components
+(freehom.ClassComponents); there, and for the level spaces of U𝔤,
+RowSpace over all the rows remains the reference engine in the tests.
+
+Its elimination keeps a column index (key → the pivots whose rows hold
 it), so clearing a new pivot's column touches only those rows; history
-for certificates is kept only when asked for (track=True).  The free
-quotient 𝕋/I has only ±1 binomial rows and decides them as graph
-components (freehom.ClassComponents); there, and for the level spaces
-of U𝔤, RowSpace over all the rows remains the reference engine in the
-tests.
+for certificates is kept only when asked for (track=True).
 
 No floating point is used anywhere; coefficients are fractions.Fraction.
 Basis keys can be anything hashable that sorts against the other keys of

@@ -32,19 +32,29 @@ trees (DEFAULT_BASIS_CAP; ResourceLimit beyond it).
 A level's span W is held by a LevelSpace, which keeps no history, since
 verdicts, residuals and normal forms need none.  It works in two steps.
 
-  1. Contract the binomial rows.  A two-term row a·k₁ + b·k₂ says
-     k₁ ≡ (−b/a)·k₂, a weighted edge.  A union-find that keeps each
-     key's ratio to its parent joins the keys into components; the
-     representative of a component is its largest key in string order
-     (as in freehom.ClassComponents), and every key k of it gets the
-     ratio r with k ≡ r·rep modulo the binomial span B.  An edge that
-     closes a cycle whose ratios disagree (a cycle whose product is not
-     1) puts the representative, hence the whole component, into B.
+  1. Contract the binomial rows.  When α is monomial (every α(e_i) has
+     at most one term, as for every diagonal α), an R1 row is
+     c·k₁ − c′·k₂ with c and c′ products of α coefficients, or has
+     fewer terms.  A level build hands such a binomial over as the
+     record (k₁, k₂, c′/c), k₁ ≡ (c′/c)·k₂, a weighted edge: the ratio
+     is a product of α coefficients worked out once per algebra
+     (AlphaTable.ratio), and for a diagonal α at weight 0 the keys are
+     the tree's own text and its rotation over the same leaf texts, so
+     no LinComb is built.  Any other two-term row a·k₁ + b·k₂ gives the
+     edge k₁ ≡ (−b/a)·k₂.  A union-find that keeps each key's ratio to
+     its parent joins the keys into components; the representative of
+     a component is its largest key in string order (as in
+     freehom.ClassComponents), and every key k of it gets the ratio r
+     with k ≡ r·rep modulo the binomial span B.  An edge that closes a
+     cycle whose ratios disagree (a cycle whose product is not 1) puts
+     the representative, hence the whole component, into B.
   2. Eliminate the rest.  The projection π onto V/B sends k to r·rep,
      to 0 in a component inside B, and leaves keys that no binomial
      touches as they are.  The other rows (one term, or three or more)
-     are projected and eliminated by one RowSpace without history;
-     reduce(v) is that space's reduction of π(v).
+     are projected; a projected row that is a scalar multiple of one
+     already kept is dropped, and the kept rows are eliminated by one
+     RowSpace without history.  reduce(v) is that space's reduction of
+     π(v).
 
 Why the residuals are RowSpace's over all the rows.  Elimination with
 smallest-key pivots gives the reduced residual of v: the unique vector
@@ -61,30 +71,44 @@ residual.  For the same reason rank is the number of keys that
 do not represent their component, plus the representatives of the
 components inside B, plus the rank of the second step.
 
+Why dropping scalar multiples changes nothing.  A dropped row lies in
+the span of the kept rows, so the second step spans the same π(W).  A
+fully reduced echelon basis with smallest-key pivots (pivot coefficient
+1, zero in every other pivot column) is unique for a given span,
+whatever rows it is built from and in whatever order; so the rank, the
+residuals and the normal forms are those of elimination over all the
+projected rows.  Rows are matched by their terms divided by the
+coefficient of their smallest key, which is the same for two rows
+exactly when one is a scalar multiple of the other.
+
 The certificate of an Equal verdict is worked out when it is first
 read: the level context then regenerates its rows in build order and
 keeps one tracked RowSpace over them, so the certificate is the one a
 tracked build would have given.
 
 Every settled term and every relation row goes through one AlphaTable
-per algebra: the supports of α^w(e_i), and shape templates that render
-a decorated tree by filling in leaf texts.  A level build makes the
-row pattern of each shape once (_ShapeRows) and fills it in for every
-decoration of that shape.
+per algebra: the supports of α^w(e_i), the ratios of R1 records, the
+negated brackets of R2 rows, and shape templates that render a
+decorated tree by filling in leaf texts.  A level build makes the row
+pattern of each shape once (_ShapeRows) and fills it in for every
+decoration of that shape.  Certificates and relation_rows_for get every
+row as a LinComb, as it reads: an R1 row of a monomial α is the product
+of the kept leaves' coefficients times k₁, minus the product of the
+moved leaves' coefficients times k₂, in that key order.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Optional
 
 from .ambient import Ambient, OracleInconclusive, ResourceLimit
 from .homlie import HomLieAlgebra, HomLieMorphism, read_element, read_symbol, validate_morphism
-from .linalg import LinComb, Membership, RowSpace
+from .linalg import LinComb, Membership, RowSpace, frac
 from .trees import (
     Leaf,
     Node,
@@ -104,6 +128,9 @@ DEFAULT_BASIS_CAP = 8000
 DEFAULT_SLACK = 1
 DEFAULT_ESCALATION_CAP = 6
 LEVEL_CACHE_SIZE = 128  # level contexts kept; the least recently used goes first
+
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 class MorphismInvalid(ValueError):
@@ -129,13 +156,22 @@ class AlphaTable:
     coefficient) pairs, the coefficient None where it is 1, so that a
     product of coordinates skips it.  A zero-weight decorated tree is
     rendered by filling its shape template with the leaf texts "0:name".
+    The R1 ratios it works out (ratio) live as long as the table, which
+    alpha_table keeps for the 16 most recently used algebras.
     """
 
     def __init__(self, g: HomLieAlgebra):
         self.g = g
         self.index = {name: i for i, name in enumerate(g.basis)}
-        self.leaf_texts = tuple("0:%s" % name for name in g.basis)
+        self.leaf_texts = texts = tuple("0:%s" % name for name in g.basis)
         self._powers: dict = {}
+        # monomial: every α^w(e_i) has at most one term, so an R1 row has at most two
+        self.monomial = all(sum(1 for c in row if c) <= 1 for row in g.alpha)
+        self.diagonal = all(not c for i, row in enumerate(g.alpha) for j, c in enumerate(row) if i != j)
+        # −[e_x, e_y] as (leaf text, coefficient) pairs: the collapsed terms of an R2 row
+        self.neg_brackets = tuple(tuple(tuple((texts[k], -frac(c)) for k, c in enumerate(v) if c) for v in row)
+                                  for row in g.brackets)
+        self._ratios: dict = {}
 
     def power(self, w: int) -> tuple:
         hit = self._powers.get(w)
@@ -156,6 +192,33 @@ class AlphaTable:
                 raise ValueError("absorb_weights needs a decoration on every leaf")
             self.g.index_of(name)  # raises KeyError naming the symbol
         return i
+
+    def ratio(self, moved: tuple, kept: tuple):
+        """For a monomial α: c_moved/c_kept, c_S the product of the coefficients of α(e_i), i in S.
+
+        moved and kept are the basis indices of the zero-weight leaves that
+        an R1 row raises on either side, so the row is c_kept·k₁ −
+        c_moved·k₂ and k₁ ≡ ratio·k₂.  It is 0 when α sends one of them to
+        0, and then the row is not a binomial.
+        """
+        key = (moved, kept)
+        hit = self._ratios.get(key)
+        if hit is None:
+            images = self.power(1)
+            if all(images[i] for i in moved + kept):
+                hit = _ONE
+                for i in moved:
+                    c = images[i][0][1]
+                    if c is not None:
+                        hit = hit * c
+                for i in kept:
+                    c = images[i][0][1]
+                    if c is not None:
+                        hit = hit / c
+            else:
+                hit = 0
+            self._ratios[key] = hit
+        return hit
 
     def expand(self, template: str, supports, coeff) -> list:
         """coeff·(template filled per leaf support), multilinearly, as (key, coeff) pairs."""
@@ -216,11 +279,6 @@ def absorb_weights(g: HomLieAlgebra, t) -> UPoly:
     return LinComb(alpha_table(g).settle(t, 1))
 
 
-def absorb_poly(g: HomLieAlgebra, p: LinComb) -> UPoly:
-    settle = alpha_table(g).settle
-    return LinComb(pair for key, coeff in p.items() for pair in settle(parse(key), coeff))
-
-
 def coproduct_U(g: HomLieAlgebra, p: UPoly) -> LinComb:
     return UEAmbient(g).coproduct(p)
 
@@ -243,9 +301,10 @@ class _ShapeRows:
     Entries follow the internal nodes in preorder.  R1 at a node carrying
     (A∨B)∨C keeps the shape with C's weights raised by one, against the
     rotation A∨(B∨C) with A's weights raised; leaf order is the same in
-    both, so the row is two template expansions over leaf ranges.  R2 at
-    a node over leaves i, i+1 swaps two leaf texts, or collapses the two
-    leaves into one.
+    both, so the row is two template expansions over leaf ranges, or,
+    for a monomial α, two filled-in templates and a ratio.  R2 at a node
+    over leaves i, i+1 swaps two leaf texts, or collapses the two leaves
+    into one.
     """
 
     def __init__(self, shape):
@@ -267,19 +326,37 @@ class _ShapeRows:
         self._walk(shape, left, path + (0,), start)
         self._walk(shape, right, path + (1,), start + leaf_count(left))
 
-    def rows(self, table: AlphaTable, text: str, texts: tuple, weights, indices) -> list:
+    def rows(self, table: AlphaTable, text: str, texts: tuple, weights, indices, records=False) -> list:
         """(row, source) pairs of the decorated tree with these leaves.
 
         text is the tree's codec text, texts its leaf texts; weights and
-        indices give each leaf's weight and basis index.
+        indices give each leaf's weight and basis index.  With records
+        (zero weights and a monomial α only), an R1 row that is a binomial
+        c·k₁ − c′·k₂ comes as the record (k₁, k₂, c′/c); every other row is
+        a LinComb.
         """
-        base = [table.power(w)[i] for w, i in zip(weights, indices)]
-        raised = [table.power(w + 1)[i] for w, i in zip(weights, indices)]
-        brackets = table.g.brackets
+        brackets = table.neg_brackets
+        base = raised = lifted = None
         out = []
         for entry in self.entries:
             if entry[0] == "R1":
                 _, path, a_start, a_end, c_start, c_end, rotated = entry
+                if records:
+                    ratio = table.ratio(indices[a_start:a_end], indices[c_start:c_end])
+                    if ratio:
+                        if table.diagonal:
+                            out.append(((text, rotated % texts, ratio), ("R1", text, path)))
+                            continue
+                        if lifted is None:  # each leaf's text after α, None where α(e_i) = 0
+                            images = table.power(1)
+                            lifted = tuple(images[i][0][0] if images[i] else None for i in indices)
+                        kept = texts[:c_start] + lifted[c_start:c_end] + texts[c_end:]
+                        moved = texts[:a_start] + lifted[a_start:a_end] + texts[a_end:]
+                        out.append(((self.template % kept, rotated % moved, ratio), ("R1", text, path)))
+                        continue
+                if base is None:
+                    base = [table.power(w)[i] for w, i in zip(weights, indices)]
+                    raised = [table.power(w + 1)[i] for w, i in zip(weights, indices)]
                 kept = base[:c_start] + raised[c_start:c_end] + base[c_end:]
                 moved = base[:a_start] + raised[a_start:a_end] + base[a_end:]
                 row = LinComb(table.expand(self.template, kept, 1) + table.expand(rotated, moved, -1))
@@ -290,11 +367,14 @@ class _ShapeRows:
             x, y = indices[i], indices[i + 1]
             if x >= y:
                 continue  # the swapped tree contributes the same row
-            pairs = [(text, 1), (self.template % (texts[:i] + (texts[i + 1], texts[i]) + texts[i + 2:]), -1)]
-            for k, coeff in enumerate(brackets[x][y]):
-                if coeff:
-                    pairs.append((collapsed % (texts[:i] + (table.leaf_texts[k],) + texts[i + 2:]), -coeff))
-            out.append((LinComb(pairs), ("R2", text, path)))
+            # text, the swapped tree and the collapsed ones are distinct keys
+            swapped = self.template % (texts[:i] + (texts[i + 1], texts[i]) + texts[i + 2:])
+            terms = {text: _ONE, swapped: _MINUS_ONE}
+            for leaf_text, coeff in brackets[x][y]:
+                terms[collapsed % (texts[:i] + (leaf_text,) + texts[i + 2:])] = coeff
+            row = LinComb()
+            row.terms = terms
+            out.append((row, ("R2", text, path)))
         return out
 
 
@@ -315,9 +395,14 @@ def relation_rows_for(g: HomLieAlgebra, t):
     return _ShapeRows(t).rows(table, template % texts, texts, [lf.weight for lf in leaves], indices)
 
 
-def _level_trees(table: AlphaTable, level: int):
-    """(text, relation rows) per basis tree with at most `level` leaves, in build order."""
+def _level_trees(table: AlphaTable, level: int, records=False):
+    """(text, relation rows) per basis tree with at most `level` leaves, in build order.
+
+    With records and a monomial α, binomial R1 rows come as (k₁, k₂, ratio)
+    records (see _ShapeRows.rows); otherwise every row is a LinComb.
+    """
     dim = table.g.dim
+    records = records and table.monomial
     for n in range(1, level + 1):
         weights = (0,) * n
         for shape in enumerate_shapes(n):
@@ -325,16 +410,18 @@ def _level_trees(table: AlphaTable, level: int):
             for indices in product(range(dim), repeat=n):
                 texts = tuple(table.leaf_texts[i] for i in indices)
                 text = plan.template % texts
-                yield text, plan.rows(table, text, texts, weights, indices)
+                yield text, plan.rows(table, text, texts, weights, indices, records)
 
 
 class LevelSpace:
     """The span of one level's relation rows (see the module docstring).
 
-    Binomial rows are contracted by a weighted union-find; the other rows
-    are projected onto the representatives and eliminated by one RowSpace
-    without history.  The interface is RowSpace's without certificates:
-    rank, reduce and membership (verdict and residual).
+    A row is a LinComb or a record (k₁, k₂, r) that stands for k₁ − r·k₂.
+    Records and two-term rows are contracted by a weighted union-find; the
+    other rows are projected onto the representatives, one per line
+    through the origin, and eliminated by one RowSpace without history.
+    The interface is RowSpace's without certificates: rank, reduce and
+    membership (verdict and residual).
     """
 
     def __init__(self, rows):
@@ -363,25 +450,29 @@ class LevelSpace:
 
         rest = []
         for row in rows:
-            terms = row.terms
-            if len(terms) != 2:
-                rest.append(row)
-                continue
-            (k1, a), (k2, b) = terms.items()
+            if row.__class__ is tuple:
+                k1, k2, r = row
+            else:
+                terms = row.terms
+                if len(terms) != 2:
+                    rest.append(row)
+                    continue
+                (k1, a), (k2, b) = terms.items()
+                r = -b / a
             root1, r1 = find(k1)
             root2, r2 = find(k2)
-            # a·root1 + b·root2 lies in the span once the ratios are folded in
-            if r1 is not None:
-                a = a * r1
+            # k1 ≡ r·k2 makes root1 ≡ (r·r2/r1)·root2
             if r2 is not None:
-                b = b * r2
+                r = r * r2
+            if r1 is not None:
+                r = r / r1
             if root1 == root2:
-                if a + b:
+                if r != 1:
                     spanned.add(root1)
                 continue
             if root1 > root2:
-                root1, root2, a, b = root2, root1, b, a
-            link[root1] = (root2, -b / a)
+                root1, root2, r = root2, root1, 1 / r
+            link[root1] = (root2, r)
             if root1 in spanned:
                 spanned.discard(root1)
                 spanned.add(root2)
@@ -390,7 +481,16 @@ class LevelSpace:
         for key in list(link):
             root, r = find(key)
             image[key] = None if root in spanned else (root, r)
-        self._space = RowSpace((self._project(row) for row in rest), track=False)
+        # one row per line through the origin: the rest projected, scaled to 1 at its smallest key
+        lines: dict = {}
+        for row in rest:
+            projected = self._project(row)
+            terms = projected.terms
+            if terms:
+                lead = terms[min(terms)]
+                line = frozenset(terms.items() if lead == 1 else ((k, c / lead) for k, c in terms.items()))
+                lines.setdefault(line, projected)
+        self._space = RowSpace(lines.values(), track=False)
         self.rank = len(link) + len(spanned) + self._space.rank
 
     def _project(self, v: LinComb) -> LinComb:
@@ -451,27 +551,23 @@ class LevelContext:
 
     def certificate(self, p: UPoly) -> Optional[LinComb]:
         """p as a combination of relation rows (row_sources indices), None outside the span."""
-        with _tracked_lock:
-            if self._tracked is None:
-                self._tracked = RowSpace(row for _, rows in _level_trees(alpha_table(self.g), self.level)
-                                         for row, _ in rows)
+        if self._tracked is None:
+            self._tracked = RowSpace(row for _, rows in _level_trees(alpha_table(self.g), self.level)
+                                     for row, _ in rows)
         return self._tracked.membership(p).certificate
 
 
 _level_cache: OrderedDict = OrderedDict()  # (g, level) -> LevelContext, oldest use first
-_level_cache_lock = threading.Lock()
-_tracked_lock = threading.Lock()
 
 
 def build_level(g: HomLieAlgebra, level: int) -> LevelContext:
     """All relation rows over decorated trees with at most `level` leaves."""
     if level < 1:
         raise ValueError("level must be at least 1")
-    with _level_cache_lock:
-        cached = _level_cache.get((g, level))
-        if cached is not None:
-            _level_cache.move_to_end((g, level))
-            return cached
+    cached = _level_cache.get((g, level))
+    if cached is not None:
+        _level_cache.move_to_end((g, level))
+        return cached
     size = sum(len(enumerate_shapes(n)) * g.dim ** n for n in range(1, level + 1))
     if size > DEFAULT_BASIS_CAP:
         raise ResourceLimit(
@@ -481,16 +577,15 @@ def build_level(g: HomLieAlgebra, level: int) -> LevelContext:
     basis = []
     rows = []
     sources = []
-    for text, tree_rows in _level_trees(alpha_table(g), level):
+    for text, tree_rows in _level_trees(alpha_table(g), level, records=True):
         basis.append(text)
         for row, source in tree_rows:
             rows.append(row)
             sources.append(source)
     ctx = LevelContext(g, level, tuple(basis), tuple(sources), LevelSpace(rows))
-    with _level_cache_lock:
-        _level_cache[(g, level)] = ctx
-        if len(_level_cache) > LEVEL_CACHE_SIZE:
-            _level_cache.popitem(last=False)
+    _level_cache[(g, level)] = ctx
+    if len(_level_cache) > LEVEL_CACHE_SIZE:
+        _level_cache.popitem(last=False)
     return ctx
 
 

@@ -3,7 +3,8 @@
 bench/common.py empties the caches between rounds, bench/spans.py counts
 class builds through cache_info() and level builds through the size of
 ueg._level_cache, and bench/free.py replays every Equal certificate
-against GradedClassContext.row_sources.  bench/cli_child.py imports the
+against GradedClassContext.row_sources; the level contexts spans.py counts must
+expose basis, row_sources and space.rank.  bench/cli_child.py imports the
 CLI and at once has spans.py look its modules up in sys.modules, and
 bench/uenv.py reads grouplike.UEAmbient.  spans.py wraps every function
 in its FUNCTIONS list, called or not, and uenv.py calls the U𝔤 oracle
@@ -21,6 +22,7 @@ import pytest
 
 import homtrees
 from homtrees import freehom, grouplike, trees, ueg
+from homtrees.homlie import make_algebra
 from homtrees.linalg import LinComb
 from tree_path import rewrites
 
@@ -36,6 +38,22 @@ def test_caches_the_benchmark_empties():
         assert fn.cache_info().currsize == 0
     ueg._level_cache.clear()
     assert len(ueg._level_cache) == 0
+
+
+def test_level_builds_are_counted_by_the_level_cache_size():
+    # spans.py counts a build when len(ueg._level_cache) grows and reads basis, row_sources and
+    # space.rank of the new context; a ueg-levels round builds 91 contexts between clears
+    assert ueg.LEVEL_CACHE_SIZE > 91
+    g = make_algebra("contract-levels", ("x", "y"), {(0, 1): (0, 1)}, ((1, 0), (0, 2)))
+    ueg._level_cache.clear()
+    for level in (2, 3, 4):
+        before = len(ueg._level_cache)
+        ctx = ueg.build_level(g, level)
+        assert len(ueg._level_cache) == before + 1
+        assert isinstance(ctx.basis, tuple) and all(isinstance(key, str) for key in ctx.basis)
+        assert isinstance(ctx.row_sources, tuple) and len(ctx.row_sources) >= ctx.space.rank > 0
+        assert ueg.build_level(g, level) is ctx
+        assert len(ueg._level_cache) == before + 1
 
 
 def test_class_builds_are_counted_by_cache_misses():

@@ -42,7 +42,6 @@ from homtrees.ueg import (
     MorphismInvalid,
     ResourceLimit,
     UEAmbient,
-    absorb_poly,
     absorb_weights,
     build_level,
     coproduct_U,
@@ -82,8 +81,33 @@ def sl2_twisted():
     return twist(base, ((2, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2))))
 
 
+def sl2_chevalley():
+    """sl2 twisted by the Chevalley involution E ↦ −F, F ↦ −E, H ↦ −H: α monomial, not diagonal."""
+    base = make_algebra(
+        "sl2",
+        ("E", "H", "F"),
+        {(0, 1): (-2, 0, 0), (0, 2): (0, 1, 0), (1, 2): (0, 0, -2)},
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    )
+    return twist(base, ((0, 0, -1), (0, -1, 0), (-1, 0, 0)), name="sl2-chevalley")
+
+
+def expand_record(row):
+    """A level row as a LinComb: the record (k₁, k₂, r) becomes k₁ − r·k₂."""
+    if isinstance(row, tuple):
+        k1, k2, r = row
+        return LinComb({k1: 1, k2: -r})
+    return row
+
+
 def leaf(g, name):
     return LinComb.single("0:" + name)
+
+
+def absorb_poly(g, p):
+    """A polynomial in weighted decorated trees, weights absorbed term by term."""
+    settle = ueg.alpha_table(g).settle
+    return LinComb(pair for key, coeff in p.items() for pair in settle(parse(key), coeff))
 
 
 # ----------------------------------------------------------------- absorption
@@ -294,6 +318,17 @@ def _ordered(rows):
 SL2_JSON = os.path.join(os.path.dirname(__file__), "data", "sl2_twisted.json")
 
 
+def _assert_record_expands_to(row, reference):
+    """A level row is the reference row itself, or a record of it: same keys in order, same ratio."""
+    if not isinstance(row, tuple):
+        assert list(row.terms.items()) == list(reference.terms.items())
+        return
+    k1, k2, r = row
+    assert list(reference.terms) == [k1, k2]
+    kept = reference.terms[k1]  # the product of the kept leaves' α coefficients
+    assert list((kept * expand_record(row)).terms.items()) == list(reference.terms.items())
+
+
 def test_relation_rows_and_levels_match_the_tree_by_tree_reference():
     algebras = [
         (aff2(), 4),
@@ -302,6 +337,8 @@ def test_relation_rows_and_levels_match_the_tree_by_tree_reference():
         (aff2(((1, 1), (0, 1))), 4),
         (abelian(2, alpha=((1, 1), (0, 1))), 4),
         (load_algebra(SL2_JSON), 3),
+        (sl2_chevalley(), 3),
+        (abelian(2, alpha=((0, 1), (0, 0))), 4),  # monomial, not diagonal, α(b) = 0
     ]
     rng = random.Random(2718)
     for g, top in algebras:
@@ -318,6 +355,19 @@ def test_relation_rows_and_levels_match_the_tree_by_tree_reference():
             t = with_weights(rng.choice(enumerate_shapes(n)), [rng.randint(0, 2) for _ in range(n)],
                              [rng.choice(g.basis) for _ in range(n)])
             assert _ordered(relation_rows_for(g, t)) == _ordered(_reference_rows(g, t))
+        # a level build's rows, binomial R1 rows as records, expand to the reference rows
+        table = ueg.alpha_table(g)
+        level_rows = [(text, tree_rows) for text, tree_rows in ueg._level_trees(table, top, records=True)]
+        assert [text for text, _ in level_rows] == [to_text(t) for t in trees]
+        records = 0
+        for (text, tree_rows), t in zip(level_rows, trees):
+            reference = _reference_rows(g, t)
+            assert [source for _, source in tree_rows] == [source for _, source in reference]
+            for (row, _), (want, _) in zip(tree_rows, reference):
+                _assert_record_expands_to(row, want)
+                records += isinstance(row, tuple)
+        # records come exactly from a monomial α that is not 0
+        assert (records > 0) == (table.monomial and any(map(any, g.alpha)))
         for level in range(1, top + 1):
             ctx = build_level(g, level)
             basis = [to_text(t) for t in trees if len(weights_of(t)) <= level]
@@ -402,13 +452,19 @@ def _assert_same_span(space, reference, keys, rng):
     (aff2(((0, 0), (0, 0))), 5),
     (aff2(((1, 1), (0, 1))), 4),
     (load_algebra(SL2_JSON), 4),
-], ids=["aff2-id", "aff2-minus1", "aff2-2/3", "aff2-3", "aff2-alpha0", "aff2-mixing", "sl2-twisted"])
+    (sl2_chevalley(), 4),
+    (abelian(2, alpha=((0, 1), (0, 0))), 5),
+], ids=["aff2-id", "aff2-minus1", "aff2-2/3", "aff2-3", "aff2-alpha0", "aff2-mixing", "sl2-twisted",
+        "sl2-chevalley", "ab2-shift"])
 def test_level_space_matches_row_space_on_level_rows(g, level):
+    # the level space reads the rows as a build makes them, records included;
+    # the reference gets each record as the LinComb k₁ − r·k₂
     basis, rows = [], []
-    for text, tree_rows in ueg._level_trees(ueg.alpha_table(g), level):
+    for text, tree_rows in ueg._level_trees(ueg.alpha_table(g), level, records=True):
         basis.append(text)
         rows.extend(row for row, _ in tree_rows)
-    _assert_same_span(ueg.LevelSpace(rows), RowSpace(rows, track=False), basis, random.Random(level))
+    reference = RowSpace((expand_record(row) for row in rows), track=False)
+    _assert_same_span(ueg.LevelSpace(rows), reference, basis, random.Random(level))
 
 
 @pytest.mark.parametrize("rows, rank, zeros", [
@@ -429,6 +485,21 @@ def test_level_space_matches_row_space_on_synthetic_rows(rows, rank, zeros):
     assert space.rank == rank
     assert [key for key in keys if not space.reduce(LinComb.single(key))] == list(zeros)
     _assert_same_span(space, RowSpace(rows, track=False), keys, random.Random(rank))
+
+
+def test_level_space_eliminates_one_row_per_line():
+    # a ≡ 2b contracts a onto b; the three rest rows r, 2r and −r/3 then project onto one line,
+    # while two rows on one support but on different lines are both kept
+    r = {"a": 1, "c": 1, "d": 2}
+    rows = [("a", "b", Fraction(2)), LinComb(r), LinComb({"b": 4, "c": 2, "d": 4}),
+            LinComb({key: Fraction(-1, 3) * c for key, c in r.items()}), LinComb({"c": 1, "e": -1, "x": 3}),
+            LinComb({"c": 1, "d": 1, "y": 1}), LinComb({"c": 1, "d": -1, "y": 1})]
+    space = ueg.LevelSpace(rows)
+    assert space._space.n_inputs == 4
+    assert space.rank == 5
+    keys = list("abcdexyz")
+    reference = RowSpace((expand_record(row) for row in rows), track=False)
+    _assert_same_span(space, reference, keys, random.Random(3))
 
 
 def test_the_level_cache_keeps_the_most_recently_used_contexts():
