@@ -32,18 +32,17 @@ trees (DEFAULT_BASIS_CAP; ResourceLimit beyond it).
 A level's span W is held by a LevelSpace, which keeps no history, since
 verdicts, residuals and normal forms need none.  It works in two steps.
 
-  1. Contract the binomial rows.  When α is monomial (every α(e_i) has
-     at most one term, as for every diagonal α), an R1 row is
-     c·k₁ − c′·k₂ with c and c′ products of α coefficients, or has
-     fewer terms.  A level build hands such a binomial over as the
-     record (k₁, k₂, c′/c), k₁ ≡ (c′/c)·k₂, a weighted edge: the ratio
-     is a product of α coefficients worked out once per algebra
-     (AlphaTable.ratio), and for a diagonal α at weight 0 the keys are
-     the tree's own text and its rotation over the same leaf texts, so
-     no LinComb is built.  Any other two-term row a·k₁ + b·k₂ gives the
-     edge k₁ ≡ (−b/a)·k₂.  A union-find that keeps each key's ratio to
-     its parent joins the keys into components; the representative of
-     a component is its largest key in string order (as in
+  1. Contract the binomial rows.  When α is diagonal, an R1 row at
+     weight 0 is c·k₁ − c′·k₂, k₁ the tree's own text and k₂ its
+     rotation over the same leaf texts, c and c′ products of diagonal
+     entries of α; or it has fewer terms, when α kills a raised leaf.
+     A level build hands such a binomial over as the record
+     (k₁, k₂, c′/c), k₁ ≡ (c′/c)·k₂, a weighted edge, with the ratio
+     worked out once per algebra (AlphaTable.ratio), so no LinComb is
+     built.  Any other two-term row a·k₁ + b·k₂ gives the edge
+     k₁ ≡ (−b/a)·k₂.  A union-find that keeps each key's ratio to its
+     parent joins the keys into components; the representative of a
+     component is its largest key in string order (as in
      freehom.ClassComponents), and every key k of it gets the ratio r
      with k ≡ r·rep modulo the binomial span B.  An edge that closes a
      cycle whose ratios disagree (a cycle whose product is not 1) puts
@@ -87,14 +86,13 @@ keeps one tracked RowSpace over them, so the certificate is the one a
 tracked build would have given.
 
 Every settled term and every relation row goes through one AlphaTable
-per algebra: the supports of α^w(e_i), the ratios of R1 records, the
-negated brackets of R2 rows, and shape templates that render a
-decorated tree by filling in leaf texts.  A level build makes the row
+per algebra: the supports of α^w(e_i), the ratios of R1 records, and
+shape templates that render a decorated tree by filling in leaf texts.  A level build makes the row
 pattern of each shape once (_ShapeRows) and fills it in for every
 decoration of that shape.  Certificates and relation_rows_for get every
-row as a LinComb, as it reads: an R1 row of a monomial α is the product
-of the kept leaves' coefficients times k₁, minus the product of the
-moved leaves' coefficients times k₂, in that key order.
+row as a LinComb, as it reads: an R1 row of a diagonal α is the
+product of the kept leaves' coefficients times k₁, minus the product of
+the moved leaves' coefficients times k₂, in that key order.
 """
 
 from __future__ import annotations
@@ -108,7 +106,7 @@ from typing import Callable, Optional
 
 from .ambient import Ambient, OracleInconclusive, ResourceLimit
 from .homlie import HomLieAlgebra, HomLieMorphism, read_element, read_symbol, validate_morphism
-from .linalg import LinComb, Membership, RowSpace, frac
+from .linalg import LinComb, Membership, RowSpace
 from .trees import (
     Leaf,
     Node,
@@ -128,10 +126,6 @@ DEFAULT_BASIS_CAP = 8000
 DEFAULT_SLACK = 1
 DEFAULT_ESCALATION_CAP = 6
 LEVEL_CACHE_SIZE = 128  # level contexts kept; the least recently used goes first
-
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
-
 
 class MorphismInvalid(ValueError):
     """ue_map requires a valid Hom-Lie morphism."""
@@ -163,14 +157,10 @@ class AlphaTable:
     def __init__(self, g: HomLieAlgebra):
         self.g = g
         self.index = {name: i for i, name in enumerate(g.basis)}
-        self.leaf_texts = texts = tuple("0:%s" % name for name in g.basis)
+        self.leaf_texts = tuple("0:%s" % name for name in g.basis)
         self._powers: dict = {}
-        # monomial: every α^w(e_i) has at most one term, so an R1 row has at most two
-        self.monomial = all(sum(1 for c in row if c) <= 1 for row in g.alpha)
+        # diagonal: every α^w(e_i) is a multiple of e_i, so an R1 row has at most two terms
         self.diagonal = all(not c for i, row in enumerate(g.alpha) for j, c in enumerate(row) if i != j)
-        # −[e_x, e_y] as (leaf text, coefficient) pairs: the collapsed terms of an R2 row
-        self.neg_brackets = tuple(tuple(tuple((texts[k], -frac(c)) for k, c in enumerate(v) if c) for v in row)
-                                  for row in g.brackets)
         self._ratios: dict = {}
 
     def power(self, w: int) -> tuple:
@@ -194,7 +184,7 @@ class AlphaTable:
         return i
 
     def ratio(self, moved: tuple, kept: tuple):
-        """For a monomial α: c_moved/c_kept, c_S the product of the coefficients of α(e_i), i in S.
+        """For a diagonal α: c_moved/c_kept, c_S the product of the coefficients of α(e_i), i in S.
 
         moved and kept are the basis indices of the zero-weight leaves that
         an R1 row raises on either side, so the row is c_kept·k₁ −
@@ -206,7 +196,7 @@ class AlphaTable:
         if hit is None:
             images = self.power(1)
             if all(images[i] for i in moved + kept):
-                hit = _ONE
+                hit = Fraction(1)
                 for i in moved:
                     c = images[i][0][1]
                     if c is not None:
@@ -302,9 +292,9 @@ class _ShapeRows:
     (A∨B)∨C keeps the shape with C's weights raised by one, against the
     rotation A∨(B∨C) with A's weights raised; leaf order is the same in
     both, so the row is two template expansions over leaf ranges, or,
-    for a monomial α, two filled-in templates and a ratio.  R2 at a node
-    over leaves i, i+1 swaps two leaf texts, or collapses the two leaves
-    into one.
+    for a diagonal α, the tree's text, its rotation and a ratio.  R2 at
+    a node over leaves i, i+1 swaps two leaf texts, or collapses the two
+    leaves into one.
     """
 
     def __init__(self, shape):
@@ -331,12 +321,12 @@ class _ShapeRows:
 
         text is the tree's codec text, texts its leaf texts; weights and
         indices give each leaf's weight and basis index.  With records
-        (zero weights and a monomial α only), an R1 row that is a binomial
+        (zero weights and a diagonal α only), an R1 row that is a binomial
         c·k₁ − c′·k₂ comes as the record (k₁, k₂, c′/c); every other row is
         a LinComb.
         """
-        brackets = table.neg_brackets
-        base = raised = lifted = None
+        brackets = table.g.brackets
+        base = raised = None
         out = []
         for entry in self.entries:
             if entry[0] == "R1":
@@ -344,15 +334,7 @@ class _ShapeRows:
                 if records:
                     ratio = table.ratio(indices[a_start:a_end], indices[c_start:c_end])
                     if ratio:
-                        if table.diagonal:
-                            out.append(((text, rotated % texts, ratio), ("R1", text, path)))
-                            continue
-                        if lifted is None:  # each leaf's text after α, None where α(e_i) = 0
-                            images = table.power(1)
-                            lifted = tuple(images[i][0][0] if images[i] else None for i in indices)
-                        kept = texts[:c_start] + lifted[c_start:c_end] + texts[c_end:]
-                        moved = texts[:a_start] + lifted[a_start:a_end] + texts[a_end:]
-                        out.append(((self.template % kept, rotated % moved, ratio), ("R1", text, path)))
+                        out.append(((text, rotated % texts, ratio), ("R1", text, path)))
                         continue
                 if base is None:
                     base = [table.power(w)[i] for w, i in zip(weights, indices)]
@@ -367,14 +349,11 @@ class _ShapeRows:
             x, y = indices[i], indices[i + 1]
             if x >= y:
                 continue  # the swapped tree contributes the same row
-            # text, the swapped tree and the collapsed ones are distinct keys
-            swapped = self.template % (texts[:i] + (texts[i + 1], texts[i]) + texts[i + 2:])
-            terms = {text: _ONE, swapped: _MINUS_ONE}
-            for leaf_text, coeff in brackets[x][y]:
-                terms[collapsed % (texts[:i] + (leaf_text,) + texts[i + 2:])] = coeff
-            row = LinComb()
-            row.terms = terms
-            out.append((row, ("R2", text, path)))
+            pairs = [(text, 1), (self.template % (texts[:i] + (texts[i + 1], texts[i]) + texts[i + 2:]), -1)]
+            for k, coeff in enumerate(brackets[x][y]):
+                if coeff:
+                    pairs.append((collapsed % (texts[:i] + (table.leaf_texts[k],) + texts[i + 2:]), -coeff))
+            out.append((LinComb(pairs), ("R2", text, path)))
         return out
 
 
@@ -398,11 +377,11 @@ def relation_rows_for(g: HomLieAlgebra, t):
 def _level_trees(table: AlphaTable, level: int, records=False):
     """(text, relation rows) per basis tree with at most `level` leaves, in build order.
 
-    With records and a monomial α, binomial R1 rows come as (k₁, k₂, ratio)
+    With records and a diagonal α, binomial R1 rows come as (k₁, k₂, ratio)
     records (see _ShapeRows.rows); otherwise every row is a LinComb.
     """
     dim = table.g.dim
-    records = records and table.monomial
+    records = records and table.diagonal
     for n in range(1, level + 1):
         weights = (0,) * n
         for shape in enumerate_shapes(n):

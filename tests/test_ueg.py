@@ -366,8 +366,8 @@ def test_relation_rows_and_levels_match_the_tree_by_tree_reference():
             for (row, _), (want, _) in zip(tree_rows, reference):
                 _assert_record_expands_to(row, want)
                 records += isinstance(row, tuple)
-        # records come exactly from a monomial α that is not 0
-        assert (records > 0) == (table.monomial and any(map(any, g.alpha)))
+        # records come exactly from a diagonal α that is not 0
+        assert (records > 0) == (table.diagonal and any(map(any, g.alpha)))
         for level in range(1, top + 1):
             ctx = build_level(g, level)
             basis = [to_text(t) for t in trees if len(weights_of(t)) <= level]
