@@ -211,7 +211,10 @@ class Ambient:
         smallest uniform k, monotone because α maps the ideal into
         itself.  A leveled ambient proves each defect at its own level;
         a NotFound answer is then bounded by max_k and by that level.
+        A negative max_k is a ValueError.
         """
+        if max_k < 0:
+            raise ValueError("max_k must be non-negative, got %d" % max_k)
         coeffs = x.coeffs if isinstance(x, TruncSeries) else (x,)
         defects = []
         for p in coeffs:

@@ -47,10 +47,11 @@ span of the rows is exactly the set of vectors whose coefficients sum
 to zero on every connected component (a path t₀ … t_m gives t₀ − t_m
 as a signed sum of rows; conversely every row sums to zero on the one
 component it touches).  The quotient of a class is thus the free space
-on its components.  ClassComponents finds them by union-find, takes
-each component's largest key in string order as its representative
-(the normal form of every key in it) and keeps a breadth-first spanning
-forest rooted at the representatives.  An Equal certificate is
+on its components.  linalg.Components finds them by union-find, each
+row an edge of ratio 1, and takes each component's largest key in
+string order as its representative (the normal form of every key in
+it); ClassComponents adds a breadth-first spanning forest rooted at the
+representatives.  An Equal certificate is
 Σ c_k·(forest path from k to its representative), a signed combination
 of relation-row indices that replays against row_sources; a NotEqual
 residual is the vector with every key replaced by its representative.
@@ -62,7 +63,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .ambient import Ambient, IndexSearch, identity_op  # noqa: F401 (re-exported for convolve)
-from .linalg import LinComb, Membership, Record
+from .linalg import Components, LinComb, Membership, Record
 from .trees import (
     Leaf,
     Node,
@@ -123,53 +124,32 @@ class ClassComponents:
     """The span of one graded class's relation rows, as components of
     its rewrite graph (see the module docstring).
 
-    The interface is RowSpace's: rank, reduce and membership.  Each
-    component's representative is its largest key in string order, the
-    one free column that elimination with smallest-key pivots leaves, so
-    reduced residuals are exactly the ones RowSpace gives.
+    linalg.Components joins the basis keys, each row t − t′ an edge of
+    ratio 1, and its projection is reduce; this class adds the
+    breadth-first spanning forest that membership certificates walk.
+    The interface is RowSpace's: rank, reduce and membership.
     """
 
     def __init__(self, basis: tuple, row_sources: tuple):
-        parent = {key: key for key in basis}
-
-        def find(key):
-            while parent[key] != key:
-                parent[key] = key = parent[parent[key]]
-            return key
-
         adjacent = {key: [] for key in basis}
         for index, (source, target) in enumerate(row_sources):
             adjacent[source].append((target, index, 1))
             adjacent[target].append((source, index, -1))
-            a, b = find(source), find(target)
-            if a != b:
-                parent[min(a, b)] = max(a, b)
-        self._rep = {key: find(key) for key in basis}
+        self._components = components = Components((source, target, 1) for source, target in row_sources)
+        self.rank = components.rank
         # key -> (parent key, row index, sign) with key − parent = sign·row
         self._forest: dict = {}
-        for root in (key for key in basis if self._rep[key] == key):
+        for root in (key for key in basis if key not in components):
             frontier = [root]
             for key in frontier:
                 for other, index, sign in adjacent[key]:
                     if other != root and other not in self._forest:
                         self._forest[other] = (key, index, -sign)
                         frontier.append(other)
-        self.rank = len(self._forest)
 
     def reduce(self, v: LinComb) -> LinComb:
         """Replace every key by its representative; keys outside the class stay."""
-        out = dict(v.terms)
-        for key in [k for k in v.terms if k in self._forest]:
-            coeff = out.pop(key)
-            rep = self._rep[key]
-            acc = out.get(rep, 0) + coeff
-            if acc:
-                out[rep] = acc
-            else:
-                out.pop(rep, None)
-        residual = LinComb()
-        residual.terms = out
-        return residual
+        return self._components.project(v)
 
     def membership(self, v: LinComb) -> Membership:
         residual = self.reduce(v)

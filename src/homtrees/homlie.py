@@ -200,10 +200,6 @@ class HomLieMorphism:
         return tuple(out)
 
 
-def identity_morphism(g: HomLieAlgebra) -> HomLieMorphism:
-    return HomLieMorphism(g, g, tuple(g.basis_vector(i) for i in range(g.dim)))
-
-
 def validate_morphism(m: HomLieMorphism) -> Validation:
     """ψ[x,y] = [ψx,ψy] and ψ∘α = α'∘ψ, checked on all basis pairs."""
     g, h = m.source, m.target

@@ -39,21 +39,18 @@ verdicts, residuals and normal forms need none.  It works in two steps.
      A level build hands such a binomial over as the record
      (k₁, k₂, c′/c), k₁ ≡ (c′/c)·k₂, a weighted edge, with the ratio
      worked out once per algebra (AlphaTable.ratio), so no LinComb is
-     built.  Any other two-term row a·k₁ + b·k₂ gives the edge
-     k₁ ≡ (−b/a)·k₂.  A union-find that keeps each key's ratio to its
-     parent joins the keys into components; the representative of a
-     component is its largest key in string order (as in
-     freehom.ClassComponents), and every key k of it gets the ratio r
-     with k ≡ r·rep modulo the binomial span B.  An edge that closes a
-     cycle whose ratios disagree (a cycle whose product is not 1) puts
-     the representative, hence the whole component, into B.
-  2. Eliminate the rest.  The projection π onto V/B sends k to r·rep,
-     to 0 in a component inside B, and leaves keys that no binomial
-     touches as they are.  The other rows (one term, or three or more)
-     are projected; a projected row that is a scalar multiple of one
-     already kept is dropped, and the kept rows are eliminated by one
-     RowSpace without history.  reduce(v) is that space's reduction of
-     π(v).
+     built; any other two-term row a·k₁ + b·k₂ is the edge
+     k₁ ≡ (−b/a)·k₂.  linalg.Components joins the weighted edges into
+     components of the binomial span B: each has its largest key in
+     string order as representative, with k ≡ r·rep for each key k of
+     it, or lies wholly inside B.
+  2. Eliminate the rest.  The projection π onto V/B (Components.project)
+     sends k to r·rep, to 0 in a component inside B, and leaves keys
+     that no binomial touches as they are.  The other rows (one term, or
+     three or more) are projected; a projected row that is a scalar
+     multiple of one already kept is dropped, and the kept rows are
+     eliminated by one RowSpace without history.  reduce(v) is that
+     space's reduction of π(v).
 
 Why the residuals are RowSpace's over all the rows.  Elimination with
 smallest-key pivots gives the reduced residual of v: the unique vector
@@ -102,11 +99,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
+from math import comb
 from typing import Callable, Optional
 
 from .ambient import Ambient, OracleInconclusive, ResourceLimit
 from .homlie import HomLieAlgebra, HomLieMorphism, read_element, read_symbol, validate_morphism
-from .linalg import LinComb, Membership, RowSpace
+from .linalg import Components, LinComb, Membership, RowSpace
 from .trees import (
     Leaf,
     Node,
@@ -396,7 +394,7 @@ class LevelSpace:
     """The span of one level's relation rows (see the module docstring).
 
     A row is a LinComb or a record (k₁, k₂, r) that stands for k₁ − r·k₂.
-    Records and two-term rows are contracted by a weighted union-find; the
+    Records and two-term rows are contracted by linalg.Components; the
     other rows are projected onto the representatives, one per line
     through the origin, and eliminated by one RowSpace without history.
     The interface is RowSpace's without certificates: rank, reduce and
@@ -404,103 +402,38 @@ class LevelSpace:
     """
 
     def __init__(self, rows):
-        link: dict = {}  # key -> (parent key, r) with key ≡ r·parent; roots are absent
-        spanned: set = set()  # roots whose whole component lies in the span
-
-        def find(key):
-            """(root, r) with key ≡ r·root, r None for 1; keys on the way are relinked to the root."""
-            hop = link.get(key)
-            if hop is None:
-                return key, None
-            up, r = hop
-            hop = link.get(up)
-            if hop is None:
-                return up, r
-            path = [(key, r)]
-            while hop is not None:
-                path.append((up, hop[1]))
-                up = hop[0]
-                hop = link.get(up)
-            r = 1
-            for step_key, step in reversed(path):
-                r = step * r
-                link[step_key] = (up, r)
-            return up, r
-
         rest = []
-        for row in rows:
-            if row.__class__ is tuple:
-                k1, k2, r = row
-            else:
+
+        def edges():
+            for row in rows:
+                if row.__class__ is tuple:
+                    yield row
+                    continue
                 terms = row.terms
                 if len(terms) != 2:
                     rest.append(row)
                     continue
                 (k1, a), (k2, b) = terms.items()
-                r = -b / a
-            root1, r1 = find(k1)
-            root2, r2 = find(k2)
-            # k1 ≡ r·k2 makes root1 ≡ (r·r2/r1)·root2
-            if r2 is not None:
-                r = r * r2
-            if r1 is not None:
-                r = r / r1
-            if root1 == root2:
-                if r != 1:
-                    spanned.add(root1)
-                continue
-            if root1 > root2:
-                root1, root2, r = root2, root1, 1 / r
-            link[root1] = (root2, r)
-            if root1 in spanned:
-                spanned.discard(root1)
-                spanned.add(root2)
-        # key -> (representative, r), or None for a key of a component in the span
-        self._image = image = {root: None for root in spanned}
-        for key in list(link):
-            root, r = find(key)
-            image[key] = None if root in spanned else (root, r)
+                yield k1, k2, -b / a
+
+        self._components = components = Components(edges())
         # one row per line through the origin: the rest projected, scaled to 1 at its smallest key
         lines: dict = {}
         for row in rest:
-            projected = self._project(row)
+            projected = components.project(row)
             terms = projected.terms
             if terms:
                 lead = terms[min(terms)]
                 line = frozenset(terms.items() if lead == 1 else ((k, c / lead) for k, c in terms.items()))
                 lines.setdefault(line, projected)
         self._space = RowSpace(lines.values(), track=False)
-        self.rank = len(link) + len(spanned) + self._space.rank
-
-    def _project(self, v: LinComb) -> LinComb:
-        """π(v): every key as its ratio times its representative; untouched keys stay."""
-        image = self._image
-        out: dict = {}
-        for key, coeff in v.terms.items():
-            if key in image:
-                hit = image[key]
-                if hit is None:
-                    continue
-                key, r = hit
-                coeff = coeff * r
-            acc = out.get(key)
-            if acc is None:
-                out[key] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        projected = LinComb()
-        projected.terms = out
-        return projected
+        self.rank = components.rank + self._space.rank
 
     def reduce(self, v: LinComb) -> LinComb:
-        return self._space.reduce(self._project(v))
+        return self._space.reduce(self._components.project(v))
 
     def membership(self, v: LinComb) -> Membership:
-        return self._space.membership(self._project(v))
+        return self._space.membership(self._components.project(v))
 
 
 @dataclass(eq=False)
@@ -522,12 +455,6 @@ class LevelContext:
     space: LevelSpace
     _tracked: Optional[RowSpace] = field(default=None, repr=False)
 
-    def reduce(self, p: UPoly) -> UPoly:
-        return self.space.reduce(p)
-
-    def membership(self, p: UPoly):
-        return self.space.membership(p)
-
     def certificate(self, p: UPoly) -> Optional[LinComb]:
         """p as a combination of relation rows (row_sources indices), None outside the span."""
         if self._tracked is None:
@@ -547,7 +474,8 @@ def build_level(g: HomLieAlgebra, level: int) -> LevelContext:
     if cached is not None:
         _level_cache.move_to_end((g, level))
         return cached
-    size = sum(len(enumerate_shapes(n)) * g.dim ** n for n in range(1, level + 1))
+    # a tree of n leaves has Catalan(n − 1) shapes, counted without building them
+    size = sum(comb(2 * n - 2, n - 1) // n * g.dim ** n for n in range(1, level + 1))
     if size > DEFAULT_BASIS_CAP:
         raise ResourceLimit(
             "level %d over a %d-dimensional algebra needs %d basis trees (cap %d)"
@@ -605,7 +533,7 @@ def equal_mod_U(g: HomLieAlgebra, a: UPoly, b: UPoly, level: int) -> UEquality:
     if need > level:
         raise ValueError("operands have %d-leaf terms, above level %d" % (need, level))
     ctx = build_level(g, level)
-    answer = ctx.membership(diff)
+    answer = ctx.space.membership(diff)
     if answer.inside:
         return UEquality(True, level, context=ctx, difference=diff)
     return UEquality(False, level, residual=answer.residual)
@@ -663,7 +591,7 @@ class UEAmbient(Ambient):
         def nf(key: str) -> UPoly:
             hit = reduced.get(key)
             if hit is None:
-                hit = reduced[key] = ctx.reduce(LinComb.single(key))
+                hit = reduced[key] = ctx.space.reduce(LinComb.single(key))
             return hit
 
         return nf

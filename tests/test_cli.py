@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -113,6 +114,18 @@ def test_equal_level_below_operands_is_a_usage_error(capsys):
     assert code == 2
 
 
+def test_a_high_level_hits_the_basis_cap_at_once(capsys):
+    # the level is sized by counting shapes, not by building them
+    start = time.perf_counter()
+    code, out, err = run(capsys, "equal", "--algebra", SL2, "--level", "40",
+                         "--lhs", "0:E", "--rhs", "0:E")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err.startswith("inconclusive: level 40 over a 3-dimensional algebra needs ")
+    assert err.rstrip().endswith("basis trees (cap 8000)")
+
+
 def test_validate_accepts_the_twisted_fixture(capsys):
     code, out, _ = run(capsys, "validate", SL2)
     assert code == 0
@@ -179,6 +192,14 @@ def test_antipode_index_gives_up_within_budget(capsys):
                        "--expr", "((0 ((0 0) 0)) ((0 0) (0 0)))")
     assert code == 3
     assert "no invertibility index up to k=0" in out
+
+
+@pytest.mark.parametrize("expr", ["(0 0)", "((0 ((0 0) 0)) ((0 0) (0 0)))"])
+def test_antipode_index_refuses_a_negative_max_k(capsys, expr):
+    code, out, err = run(capsys, "antipode-index", "--max-k", "-1", "--expr", expr)
+    assert code == 2
+    assert out == ""
+    assert "max_k must be non-negative" in err
 
 
 def test_exp_free_display(capsys):

@@ -47,6 +47,7 @@ from homtrees.trees import (
     weights_of,
     with_weights,
 )
+from class_components import ClassComponents as ReferenceComponents
 from tree_path import class_rows, rewrites
 
 
@@ -284,6 +285,33 @@ def test_class_components_agree_with_row_space_elimination():
                     assert _replay(ctx, answer.certificate) == w
                 else:
                     assert answer.residual == expected.residual
+
+
+def test_class_components_match_the_reference_engine_exactly():
+    # the engine with a union-find of its own gives the same ranks, residuals and certificates
+    rng = random.Random(19)
+    seen = set()
+    while len(seen) < 300:
+        n = rng.randint(2, 9)
+        t = with_weights(rng.choice(enumerate_shapes(n)), [rng.randint(0, 2) for _ in range(n)])
+        cls = class_of(to_text(t))
+        if cls in seen:
+            continue
+        seen.add(cls)
+        ctx = class_context(*cls)
+        reference = ReferenceComponents(ctx.basis, ctx.row_sources)
+        assert ctx.space.rank == reference.rank
+        for key in ctx.basis:
+            v = LinComb.single(key)
+            assert ctx.space.reduce(v) == reference.reduce(v)
+        for _ in range(4):
+            keys = rng.sample(ctx.basis, min(4, len(ctx.basis)))
+            v = LinComb((key, rng.choice((1, 3, -1, Fraction(2, 5)))) for key in keys)
+            for w in (v, v - ctx.space.reduce(v)):
+                got, want = ctx.space.membership(w), reference.membership(w)
+                assert (got.inside, got.residual) == (want.inside, want.residual)
+                if got.inside:
+                    assert list(got.certificate.items()) == list(want.certificate.items())
 
 
 def reference_rewrites(t):

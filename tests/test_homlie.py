@@ -6,7 +6,6 @@ import pytest
 from homtrees.homlie import (
     HomLieMorphism,
     NotEndomorphism,
-    identity_morphism,
     load_algebra,
     make_algebra,
     nilpotent_kernel,
@@ -170,7 +169,8 @@ def test_nilpotent_kernel_mixed_fixture():
 
 def test_validate_morphism():
     g = sl2()
-    assert validate_morphism(identity_morphism(g)).ok
+    identity = HomLieMorphism(g, g, (g.basis_vector(0), g.basis_vector(1), g.basis_vector(2)))
+    assert validate_morphism(identity).ok
     zero = HomLieMorphism(g, g, (g.zero(),) * 3)
     assert validate_morphism(zero).ok
     broken = HomLieMorphism(g, g, (g.basis_vector(1), g.basis_vector(0), g.basis_vector(2)))

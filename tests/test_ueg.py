@@ -18,7 +18,6 @@ import pytest
 from homtrees import ueg
 from homtrees.homlie import (
     HomLieMorphism,
-    identity_morphism,
     load_algebra,
     make_algebra,
     nilpotent_kernel,
@@ -229,8 +228,13 @@ def test_level_sl2_pbw_count():
 
 
 def test_resource_limit():
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit, match="needs 34491 basis trees"):
         build_level(sl2_twisted(), 6)  # needs 34491 > DEFAULT_BASIS_CAP
+    # the size counts shapes by the Catalan numbers, the number enumerate_shapes builds
+    assert [math.comb(2 * n - 2, n - 1) // n for n in range(1, 11)] == [len(enumerate_shapes(n))
+                                                                         for n in range(1, 11)]
+    with pytest.raises(ResourceLimit, match="level 60 over a 3-dimensional algebra"):
+        build_level(sl2_twisted(), 60)
 
 
 def test_level_contexts_memoized():
@@ -789,7 +793,7 @@ def test_hom_associator_vanishes_mod_U():
 
 def test_ue_map_identity_and_zero():
     g = aff2()
-    ident = ue_map(identity_morphism(g))
+    ident = ue_map(HomLieMorphism(g, g, ((1, 0), (0, 1))))
     zero = ue_map(HomLieMorphism(g, g, ((0, 0), (0, 0))))
     rng = random.Random(23)
     for _ in range(6):
