@@ -4,14 +4,23 @@ Both quotients in this package divide the same tree algebra: 𝕋/I keeps
 leaf weights and is exactly graded, U𝔤 decorates the leaves and absorbs
 every weight into its decoration through α.  Their Hom-Hopf maps agree
 up to one step.  Grafting, α and splitting produce a tree; *settling*
-turns that tree into stored keys: 𝕋/I renders it as it is, U𝔤 expands
-it over the algebra basis with the weights absorbed.
+turns that tree into stored keys: 𝕋/I keeps it as it is, U𝔤 expands it
+over the algebra basis with the weights absorbed.
 
 `Ambient` holds every map once — ∨, α, Δ, ε, S, ⊗, ηε, the convolution
-⋆, tensor reduction, primitivity and the invertibility-index search.  A
-subclass supplies the settle step, the key reduction, the zero test,
-equality, parsing and the weighted powers.  Elements are LinCombs over
-codec keys, tensors LinCombs over (left key, right key) pairs.
+⋆, tensor reduction, primitivity and the invertibility-index search.
+The bodies of ∨, α, Δ and S walk their input and hand each key to a
+per-key hook: _graft_keys (ka ∨ kb), _shift_key (α^k), _split_tree (the
+settled splits of Δ) and _mirror_tree (S).  Each hook returns stored
+pairs for one key and receives a memo dict that lives for one top-level
+call.  The default hooks parse the key, apply the trees operation and
+settle the result, which is all U𝔤 needs; 𝕋/I overrides the four hooks
+to work on codec texts (freehom.FreeAmbient).
+
+A subclass supplies the settle step or the hooks, the key reduction,
+the zero test, equality, parsing and the weighted powers.  Elements are
+LinCombs over codec keys, tensors LinCombs over (left key, right key)
+pairs.
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ class OracleInconclusive(RuntimeError):
         self.verdict = verdict
 
 
-# Δ of an n-leaf tree has 2^n terms: a right comb took 1.2 s at 14 leaves
-# and 6.5–7.4 s at 16 (2 vCPU, Python 3.11.7)
+# Δ of an n-leaf tree has 2^n terms: the CLI `coproduct` of a right comb
+# took 0.43–0.46 s at 14 leaves and 1.0–1.4 s at 16 (2 vCPU, Python 3.11.7)
 COPRODUCT_LEAF_CAP = 16
 
 
@@ -75,8 +84,9 @@ class IndexSearch(Record):
 class Ambient:
     """A quotient of the tree algebra with its Hom-Hopf maps.
 
-    Subclasses define exact, _settle, _level_of, _key_reducer, is_zero,
-    equal, power_product and parse.
+    Subclasses define exact, _level_of, _key_reducer, is_zero, equal,
+    power_product and parse, and either _settle, which the default
+    per-key hooks settle with, or the four hooks themselves.
     """
 
     exact: bool
@@ -96,6 +106,37 @@ class Ambient:
     def is_zero(self, p: LinComb, level: Optional[int] = None) -> bool:
         raise NotImplementedError
 
+    # the per-key hooks: stored pairs for one key (see the module docstring)
+
+    def _graft_keys(self, ka: str, kb: str, coeff, memo: dict) -> list:
+        """coeff·(ka ∨ kb) as stored (key, coeff) pairs."""
+        return self._settle(graft(parse(ka), parse(kb)), coeff)
+
+    def _shift_key(self, key: str, k: int, coeff, memo: dict) -> list:
+        """coeff·α^k(key) as stored (key, coeff) pairs."""
+        return self._settle(alpha_shift(parse(key), k), coeff)
+
+    def _split_tree(self, t, coeff, memo: dict) -> list:
+        """coeff·Δt as ((left key, right key), coeff) pairs, in trees.splits order.
+
+        t is a parsed key: a tree within COPRODUCT_LEAF_CAP, or the unit.
+        """
+        out = []
+        for left, right in splits(t):
+            settled = self._settle(right, 1)
+            for lk, lc in self._settle(left, coeff):
+                for rk, rc in settled:
+                    out.append(((lk, rk), lc * rc))
+        return out
+
+    def _mirror_tree(self, t, coeff) -> tuple:
+        """S(coeff·t) as one stored (key, coeff) pair; t is a parsed key, not the unit.
+
+        Mirroring keeps every weight and decoration, so a stored key
+        mirrors to a stored key and nothing needs settling.
+        """
+        return to_text(mirror(t)), (-1) ** leaf_count(t) * coeff
+
     def unit(self) -> LinComb:
         return LinComb.single("1")
 
@@ -104,17 +145,18 @@ class Ambient:
 
     def graft(self, a: LinComb, b: LinComb) -> LinComb:
         """Bilinear grafting; a unit factor acts through α."""
+        memo: dict = {}
         out = []
         for ka, ca in a.items():
-            ta = parse(ka)
             for kb, cb in b.items():
-                out.extend(self._settle(graft(ta, parse(kb)), ca * cb))
+                out.extend(self._graft_keys(ka, kb, ca * cb, memo))
         return LinComb(out)
 
     def alpha(self, p: LinComb, k: int = 1) -> LinComb:
+        memo: dict = {}
         out = []
         for key, coeff in p.items():
-            out.extend(self._settle(alpha_shift(parse(key), k), coeff))
+            out.extend(self._shift_key(key, k, coeff, memo))
         return LinComb(out)
 
     def coproduct(self, p: LinComb) -> LinComb:
@@ -124,6 +166,7 @@ class Ambient:
         rule shifts surviving weights and settling stores them.  Δ𝟙 = 𝟙⊗𝟙.
         A tree of more than COPRODUCT_LEAF_CAP leaves raises ResourceLimit.
         """
+        memo: dict = {}
         out = []
         for key, coeff in p.items():
             t = parse(key)
@@ -131,29 +174,18 @@ class Ambient:
             if n > COPRODUCT_LEAF_CAP:
                 raise ResourceLimit("the coproduct of a %d-leaf tree has 2^%d terms (cap %d leaves)"
                                     % (n, n, COPRODUCT_LEAF_CAP))
-            for left, right in splits(t):
-                settled = self._settle(right, 1)
-                for lk, lc in self._settle(left, coeff):
-                    for rk, rc in settled:
-                        out.append(((lk, rk), lc * rc))
+            out.extend(self._split_tree(t, coeff, memo))
         return LinComb(out)
 
     def counit(self, p: LinComb) -> Fraction:
         return p.coeff("1")
 
     def antipode(self, p: LinComb) -> LinComb:
-        """S: 𝟙 fixed, a basis tree goes to (−1)^n times its mirror.
-
-        Mirroring keeps every weight and decoration, so a stored key
-        mirrors to a stored key and nothing needs settling.
-        """
+        """S: 𝟙 fixed, a basis tree goes to (−1)^n times its mirror."""
         out = []
         for key, coeff in p.items():
             t = parse(key)
-            if is_unit(t):
-                out.append(("1", coeff))
-            else:
-                out.append((to_text(mirror(t)), (-1) ** leaf_count(t) * coeff))
+            out.append(("1", coeff) if is_unit(t) else self._mirror_tree(t, coeff))
         return LinComb(out)
 
     def tensor(self, a: LinComb, b: LinComb) -> LinComb:

@@ -14,6 +14,15 @@ mirror) over it; the module-level maps delegate to that ambient.  parse_poly and
 format_poly read and write elements of 𝕋 as ±-sums of `[coef*] tree`
 terms over the codec's trees.Reader.
 
+A stored key of 𝕋 is its canonical codec text, so FreeAmbient answers
+Ambient's per-key hooks on texts and builds no tree per term.  ∨ of two
+texts is "(a b)", and with 𝟙 it is the α shift of the other text.  α^k
+adds k to every weight in the text.  Δ walks the key's parsed tree once
+and builds each subtree's splits as pairs of texts by Δ(a∨b) = Δa ∨ Δb,
+in trees.splits order; splits and shifts are memoised for one top-level
+call only.  S renders the mirrored tree, with sign (−1)ⁿ.  Inside a
+text the weight-1 leaf is "1", as a key it is "01"; the key "1" is 𝟙.
+
 The oracle rests on a grading.  Assign each leaf the value s_i =
 weight_i + depth_i.  Both sides of the ideal generator have the same
 per-leaf s-values, and every grafting context and every application of
@@ -51,7 +60,8 @@ on its components.  linalg.Components finds them by union-find, each
 row an edge of ratio 1, and takes each component's largest key in
 string order as its representative (the normal form of every key in
 it); ClassComponents adds a breadth-first spanning forest rooted at the
-representatives.  An Equal certificate is
+representatives, built by the first membership that comes back
+inside.  An Equal certificate is
 Σ c_k·(forest path from k to its representative), a signed combination
 of relation-row indices that replays against row_sources; a NotEqual
 residual is the vector with every key replaced by its representative.
@@ -59,6 +69,7 @@ residual is the vector with every key replaced by its representative.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -127,25 +138,33 @@ class ClassComponents:
     linalg.Components joins the basis keys, each row t − t′ an edge of
     ratio 1, and its projection is reduce; this class adds the
     breadth-first spanning forest that membership certificates walk.
-    The interface is RowSpace's: rank, reduce and membership.
+    Only a membership that comes back inside reads the forest, so it is
+    built then, the first time, and kept.  The interface is RowSpace's:
+    rank, reduce and membership.
     """
 
     def __init__(self, basis: tuple, row_sources: tuple):
-        adjacent = {key: [] for key in basis}
-        for index, (source, target) in enumerate(row_sources):
-            adjacent[source].append((target, index, 1))
-            adjacent[target].append((source, index, -1))
+        self._basis = basis
+        self._row_sources = row_sources
         self._components = components = Components((source, target, 1) for source, target in row_sources)
         self.rank = components.rank
-        # key -> (parent key, row index, sign) with key − parent = sign·row
-        self._forest: dict = {}
-        for root in (key for key in basis if key not in components):
+        self._forest: Optional[dict] = None
+
+    def _spanning_forest(self) -> dict:
+        """key -> (parent key, row index, sign) with key − parent = sign·row."""
+        adjacent = {key: [] for key in self._basis}
+        for index, (source, target) in enumerate(self._row_sources):
+            adjacent[source].append((target, index, 1))
+            adjacent[target].append((source, index, -1))
+        forest: dict = {}
+        for root in (key for key in self._basis if key not in self._components):
             frontier = [root]
             for key in frontier:
                 for other, index, sign in adjacent[key]:
-                    if other != root and other not in self._forest:
-                        self._forest[other] = (key, index, -sign)
+                    if other != root and other not in forest:
+                        forest[other] = (key, index, -sign)
                         frontier.append(other)
+        return forest
 
     def reduce(self, v: LinComb) -> LinComb:
         """Replace every key by its representative; keys outside the class stay."""
@@ -155,10 +174,13 @@ class ClassComponents:
         residual = self.reduce(v)
         if residual:
             return Membership(False, None, residual)
+        if self._forest is None:
+            self._forest = self._spanning_forest()
+        forest = self._forest
         certificate: dict = {}
         for key, coeff in v.items():
-            while key in self._forest:
-                key, index, sign = self._forest[key]
+            while key in forest:
+                key, index, sign = forest[key]
                 certificate[index] = certificate.get(index, 0) + sign * coeff
         return Membership(True, LinComb(certificate), None)
 
@@ -295,14 +317,106 @@ def is_zero_mod_I(p: TreePoly) -> bool:
     return not normal_form(p)
 
 
+# A map on texts works with inner texts, the codec text of a tree inside
+# parentheses: it differs from the stored key only for the weight-1 leaf,
+# the inner text "1" and the key "01".  None stands for the unit 𝟙.
+_INNER = {"01": "1"}
+_KEY = {None: "1", "1": "01"}
+_WEIGHT = re.compile(r"[0-9]+")
+
+
+def _shift_text(text: str, k: int, memo: dict) -> str:
+    """α^k of an inner text: k added to every leaf weight, memoised in memo.
+
+    A weight driven below zero raises trees.alpha_shift's ValueError.
+    """
+    out = memo.get((text, k))
+    if out is None:
+        def shifted(match) -> str:
+            weight = int(match.group())
+            if weight + k < 0:
+                raise ValueError("weight shift by %d would make leaf weight %d negative" % (k, weight))
+            return str(weight + k)
+
+        out = memo[(text, k)] = _WEIGHT.sub(shifted, text)
+    return out
+
+
+def _graft_column(column: list, b, memo: dict) -> list:
+    """[a ∨ b for a in column] on inner texts, None standing for 𝟙."""
+    if b is None:
+        return [None if a is None else _shift_text(a, 1, memo) for a in column]
+    raised = _shift_text(b, 1, memo)
+    return [raised if a is None else "(%s %s)" % (a, b) for a in column]
+
+
+def _text_splits(t, memo: dict) -> tuple:
+    """(inner text of t, its splits as pairs of inner texts), in trees.splits order.
+
+    Δ(a∨b) = Δa ∨ Δb: the right child's pairs in the outer loop, the
+    left child's in the inner one.  The splits of each subtree are
+    memoised in memo under its text.
+    """
+    if t.__class__ is Leaf:
+        text = str(t.weight)
+        pairs = memo.get(text)
+        if pairs is None:
+            pairs = memo[text] = [(None, text), (text, None)]
+        return text, pairs
+    left_text, left = _text_splits(t.left, memo)
+    right_text, right = _text_splits(t.right, memo)
+    text = "(%s %s)" % (left_text, right_text)
+    pairs = memo.get(text)
+    if pairs is None:
+        firsts = [a for a, _ in left]
+        seconds = [b for _, b in left]
+        pairs = memo[text] = []
+        for b1, b2 in right:
+            pairs.extend(zip(_graft_column(firsts, b1, memo), _graft_column(seconds, b2, memo)))
+    return text, pairs
+
+
+def _mirror_text(t) -> str:
+    if t.__class__ is Leaf:
+        return str(t.weight)
+    return "(%s %s)" % (_mirror_text(t.right), _mirror_text(t.left))
+
+
 class FreeAmbient(Ambient):
-    """The one-generator quotient 𝕋/I: every check here is decidable."""
+    """The one-generator quotient 𝕋/I: every check here is decidable.
+
+    Its per-key hooks work on codec texts, so a term of ∨, α, Δ or S is
+    never built as a tree: a key is parsed (a cached lookup) and walked
+    once for Δ and S, and ∨ and α act on the key texts themselves.  Its
+    keys are undecorated, as parse_poly reads them.
+    """
 
     name = "free"
     exact = True
 
-    def _settle(self, t, coeff) -> list:
-        return [(to_text(t), coeff)]
+    def _graft_keys(self, ka: str, kb: str, coeff, memo: dict) -> list:
+        if ka == "1":
+            return self._shift_key(kb, 1, coeff, memo)
+        if kb == "1":
+            return self._shift_key(ka, 1, coeff, memo)
+        return [("(%s %s)" % (_INNER.get(ka, ka), _INNER.get(kb, kb)), coeff)]
+
+    def _shift_key(self, key: str, k: int, coeff, memo: dict) -> list:
+        if key == "1":
+            return [("1", coeff)]
+        text = _shift_text(_INNER.get(key, key), k, memo)
+        return [(_KEY.get(text, text), coeff)]
+
+    def _split_tree(self, t, coeff, memo: dict) -> list:
+        if is_unit(t):
+            return [(("1", "1"), coeff)]
+        key = _KEY.get
+        return [((key(a, a), key(b, b)), coeff) for a, b in _text_splits(t, memo)[1]]
+
+    def _mirror_tree(self, t, coeff) -> tuple:
+        text = _mirror_text(t)
+        # a canonical text has one space per node, so n − 1 of them
+        return _KEY.get(text, text), -coeff if text.count(" ") % 2 == 0 else coeff
 
     def _level_of(self, keys) -> None:
         return None  # the graded classes are finite: no level to pick

@@ -1,21 +1,26 @@
-"""Δ over trees.splits against the leaf-subset restriction it replaced.
+"""The Hom-Hopf maps against the references they replaced.
 
-The reference below is the earlier implementation, kept verbatim in
-substance: φ_I rebuilt from scratch for each of the 2ⁿ masks, leaf i
-being bit i−1.  Both must give the same keys, coefficients and term
-order on every input, in 𝕋/I and in U𝔤 alike.
+Δ over trees.splits is checked against the leaf-subset restriction:
+φ_I rebuilt from scratch for each of the 2ⁿ masks, leaf i being bit
+i−1, in 𝕋/I and in U𝔤 alike.  The text maps of freehom.FREE are checked
+against the tree path of tests/tree_path.py.  Both must give the same
+keys, coefficients and term order on every input.
 """
 
 import os
 import random
 from fractions import Fraction
 
+import pytest
+
+from homtrees.ambient import ResourceLimit, identity_op
 from homtrees.freehom import FREE
 from homtrees.homlie import load_algebra, make_algebra
 from homtrees.linalg import LinComb
 from homtrees.suites import book3
 from homtrees.trees import UNIT, Leaf, enumerate_shapes, graft, is_unit, leaf_count, parse, to_text, with_weights
 from homtrees.ueg import UEAmbient
+from tree_path import TREE_PATH, settle
 
 SL2 = os.path.join(os.path.dirname(__file__), "data", "sl2_twisted.json")
 
@@ -34,7 +39,7 @@ def reference_restrict(t, keep):
     return go(t, 1)[0]
 
 
-def reference_coproduct(ambient, p):
+def reference_coproduct(settle, p):
     out = []
     for key, coeff in p.items():
         t = parse(key)
@@ -45,8 +50,8 @@ def reference_coproduct(ambient, p):
         for mask in range(2 ** n):
             keep = [i for i in range(1, n + 1) if mask & (1 << (i - 1))]
             drop = [i for i in range(1, n + 1) if not mask & (1 << (i - 1))]
-            right = ambient._settle(reference_restrict(t, drop), 1)
-            for lk, lc in ambient._settle(reference_restrict(t, keep), coeff):
+            right = settle(reference_restrict(t, drop), 1)
+            for lk, lc in settle(reference_restrict(t, keep), coeff):
                 for rk, rc in right:
                     out.append(((lk, rk), lc * rc))
     return LinComb(out)
@@ -67,18 +72,18 @@ def random_poly(rng, names, max_leaves, max_weight, terms):
     return LinComb(pairs)
 
 
-def assert_same_coproduct(ambient, p):
-    assert list(ambient.coproduct(p).items()) == list(reference_coproduct(ambient, p).items()), p
+def assert_same_coproduct(ambient, settle, p):
+    assert list(ambient.coproduct(p).items()) == list(reference_coproduct(settle, p).items()), p
 
 
 def test_free_coproduct_matches_the_restriction_reference():
     rng = random.Random(20261018)
-    assert_same_coproduct(FREE, LinComb.single("1"))
+    assert_same_coproduct(FREE, settle, LinComb.single("1"))
     leaves = set()
     for _ in range(120):
         p = random_poly(rng, None, max_leaves=9, max_weight=3, terms=rng.randint(1, 2))
         leaves.update(leaf_count(parse(key)) for key in p.terms if key != "1")
-        assert_same_coproduct(FREE, p)
+        assert_same_coproduct(FREE, settle, p)
     assert leaves == set(range(1, 10))
 
 
@@ -92,6 +97,75 @@ def test_ue_coproduct_matches_the_restriction_reference():
     rng = random.Random(20261019)
     for g in algebras:
         ambient = UEAmbient(g)
-        assert_same_coproduct(ambient, LinComb.single("1"))
+        assert_same_coproduct(ambient, ambient._settle, LinComb.single("1"))
         for _ in range(40):
-            assert_same_coproduct(ambient, random_poly(rng, g.basis, max_leaves=5, max_weight=2, terms=2))
+            assert_same_coproduct(ambient, ambient._settle, random_poly(rng, g.basis, max_leaves=5, max_weight=2, terms=2))
+
+
+def free_inputs(rng, count, max_leaves):
+    """𝟙, the weight-1 leaf, sums holding the unit and `count` seeded
+    polynomials with 1 to max_leaves leaves and weights 0–3."""
+    yield LinComb.single("1")
+    yield LinComb.single("01")
+    yield LinComb({"1": 2, "01": -1, "(0 1)": Fraction(1, 2)})
+    yield LinComb({"((1 0) 1)": 3, "1": Fraction(-2, 3), "(1 (0 1))": 1})
+    for _ in range(count):
+        yield random_poly(rng, None, max_leaves=max_leaves, max_weight=3, terms=rng.randint(1, 3))
+
+
+def same(a, b):
+    return list(a.items()) == list(b.items())
+
+
+def largest(p):
+    """The leaf count of p's largest tree, 0 for a multiple of 𝟙."""
+    return max([0] + [leaf_count(parse(key)) for key in p.terms if key != "1"])
+
+
+def test_free_text_maps_match_the_tree_path():
+    """∨, α^k, Δ, S, S⋆id and id⋆S of FREE against the tree path, term by term."""
+    rng = random.Random(20261020)
+    inputs = list(free_inputs(rng, 40, max_leaves=9))
+    assert {largest(p) for p in inputs} == set(range(10))
+    for p, q in zip(inputs, inputs[1:] + inputs[:1]):
+        assert same(FREE.graft(p, q), TREE_PATH.graft(p, q)), (p, q)
+        assert same(FREE.coproduct(p), TREE_PATH.coproduct(p)), p
+        assert same(FREE.antipode(p), TREE_PATH.antipode(p)), p
+        for k in (1, 2, 3):
+            assert same(FREE.alpha(p, k), TREE_PATH.alpha(p, k)), (p, k)
+        assert all(same(a, b) for a, b in zip(convolutions(FREE, p), convolutions(TREE_PATH, p))), p
+
+
+def convolutions(ambient, p):
+    """(S⋆id)p and (id⋆S)p."""
+    return (ambient.convolve(ambient.antipode, identity_op)(p),
+            ambient.convolve(identity_op, ambient.antipode)(p))
+
+
+def test_free_quotient_maps_match_the_tree_path():
+    """reduce_tensor(Δp), is_primitive and the index search run on the text maps as on the tree path."""
+    rng = random.Random(20261021)
+    for p in free_inputs(rng, 20, max_leaves=9):
+        assert same(FREE.reduce_tensor(FREE.coproduct(p)), TREE_PATH.reduce_tensor(TREE_PATH.coproduct(p))), p
+        assert FREE.is_primitive(p) == TREE_PATH.is_primitive(p), p
+        # the defects of larger trees fall in classes too large to build quickly
+        if largest(p) <= 6:
+            assert FREE.invertibility_index(p, 3) == TREE_PATH.invertibility_index(p, 3), p
+
+
+def test_free_text_map_limits():
+    """A negative shift below weight 0 and a coproduct over the leaf cap fail as on the tree path."""
+    p = LinComb({"(2 (1 1))": 1, "(0 3)": 2})
+    for ambient in (FREE, TREE_PATH):
+        with pytest.raises(ValueError, match="weight shift by -1 would make leaf weight 0 negative"):
+            ambient.alpha(p, -1)
+        with pytest.raises(ValueError, match="weight shift by -2 would make leaf weight 1 negative"):
+            ambient.alpha(LinComb.single("(2 (1 1))"), -2)
+    assert same(FREE.alpha(LinComb({"(2 (1 1))": 1, "01": 3}), -1),
+                TREE_PATH.alpha(LinComb({"(2 (1 1))": 1, "01": 3}), -1))
+    comb = "0"
+    for _ in range(16):
+        comb = "(0 %s)" % comb
+    for ambient in (FREE, TREE_PATH):
+        with pytest.raises(ResourceLimit, match="17-leaf"):
+            ambient.coproduct(LinComb({"01": 1, comb: 1}))

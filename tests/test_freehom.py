@@ -5,6 +5,7 @@ import pytest
 
 from homtrees.freehom import (
     FREE,
+    ClassComponents,
     DomainError,
     alpha_poly,
     antipode,
@@ -312,6 +313,22 @@ def test_class_components_match_the_reference_engine_exactly():
                 assert (got.inside, got.residual) == (want.inside, want.residual)
                 if got.inside:
                     assert list(got.certificate.items()) == list(want.certificate.items())
+
+
+def test_the_spanning_forest_waits_for_an_inside_membership():
+    # normal forms and NotEqual verdicts never walk a certificate
+    ctx = class_context(*class_of("((0 0) 1)"))
+    space = ClassComponents(ctx.basis, ctx.row_sources)
+    source, target = ctx.row_sources[0]
+    space.reduce(LinComb.single(source))
+    assert not space.membership(LinComb.single(source)).inside
+    assert space._forest is None
+    answer = space.membership(LinComb({source: 1, target: -1}))
+    assert answer.inside and answer.certificate == LinComb.single(0)
+    forest = space._forest
+    assert forest
+    assert space.membership(LinComb({source: 2, target: -2})).certificate == LinComb.single(0, 2)
+    assert space._forest is forest
 
 
 def reference_rewrites(t):

@@ -1,11 +1,31 @@
-"""The tree path of a graded class, kept as the reference for freehom's text build.
+"""The tree path of 𝕋/I, kept as the reference for freehom's text build and text maps.
 
 rewrites(t) is the tree-valued Hom-associativity rewriter, and
 class_rows(n, s) builds a class the tree way: enumerate_class, to_text
-on every tree and rewrites on every tree.
+on every tree and rewrites on every tree.  TreePathAmbient is 𝕋/I with
+∨, α, Δ and S on tree values: every key is parsed, the trees operation
+applied and the result rendered with to_text; the maps built on these
+four (convolution, tensor reduction, primitivity, the index search) run
+through ambient.Ambient as for freehom.FREE.
 """
 
-from homtrees.trees import Leaf, Node, alpha_shift, enumerate_class, to_text, weights_of
+from homtrees.ambient import COPRODUCT_LEAF_CAP, ResourceLimit
+from homtrees.freehom import FreeAmbient
+from homtrees.linalg import LinComb
+from homtrees.trees import (
+    Leaf,
+    Node,
+    alpha_shift,
+    enumerate_class,
+    graft,
+    is_unit,
+    leaf_count,
+    mirror,
+    parse,
+    splits,
+    to_text,
+    weights_of,
+)
 
 
 def rewrites(t) -> list:
@@ -34,3 +54,54 @@ def class_rows(n: int, s: tuple) -> tuple:
     basis = tuple(to_text(t) for t in trees)
     sources = tuple((text, to_text(r)) for t, text in zip(trees, basis) for r in rewrites(t))
     return basis, sources
+
+
+def settle(t, coeff) -> list:
+    """coeff·t as 𝕋/I stores it: its codec text."""
+    return [(to_text(t), coeff)]
+
+
+class TreePathAmbient(FreeAmbient):
+    """𝕋/I whose ∨, α, Δ and S build every term as a tree."""
+
+    def graft(self, a: LinComb, b: LinComb) -> LinComb:
+        out = []
+        for ka, ca in a.items():
+            ta = parse(ka)
+            for kb, cb in b.items():
+                out.extend(settle(graft(ta, parse(kb)), ca * cb))
+        return LinComb(out)
+
+    def alpha(self, p: LinComb, k: int = 1) -> LinComb:
+        out = []
+        for key, coeff in p.items():
+            out.extend(settle(alpha_shift(parse(key), k), coeff))
+        return LinComb(out)
+
+    def coproduct(self, p: LinComb) -> LinComb:
+        out = []
+        for key, coeff in p.items():
+            t = parse(key)
+            n = 0 if is_unit(t) else leaf_count(t)
+            if n > COPRODUCT_LEAF_CAP:
+                raise ResourceLimit("the coproduct of a %d-leaf tree has 2^%d terms (cap %d leaves)"
+                                    % (n, n, COPRODUCT_LEAF_CAP))
+            for left, right in splits(t):
+                settled = settle(right, 1)
+                for lk, lc in settle(left, coeff):
+                    for rk, rc in settled:
+                        out.append(((lk, rk), lc * rc))
+        return LinComb(out)
+
+    def antipode(self, p: LinComb) -> LinComb:
+        out = []
+        for key, coeff in p.items():
+            t = parse(key)
+            if is_unit(t):
+                out.append(("1", coeff))
+            else:
+                out.append((to_text(mirror(t)), (-1) ** leaf_count(t) * coeff))
+        return LinComb(out)
+
+
+TREE_PATH = TreePathAmbient()
