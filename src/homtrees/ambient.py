@@ -9,13 +9,14 @@ over the algebra basis with the weights absorbed.
 
 `Ambient` holds every map once — ∨, α, Δ, ε, S, ⊗, ηε, the convolution
 ⋆, tensor reduction, primitivity and the invertibility-index search.
-The bodies of ∨, α, Δ and S walk their input and hand each key to a
-per-key hook: _graft_keys (ka ∨ kb), _shift_key (α^k), _split_tree (the
-settled splits of Δ) and _mirror_tree (S).  Each hook returns stored
-pairs for one key and receives a memo dict that lives for one top-level
+The bodies of ∨, α and Δ walk their input and hand each key to a
+per-key hook: _graft_keys (ka ∨ kb), _shift_key (α^k) and _split_tree
+(the settled splits of Δ).  Each hook returns stored pairs for one key;
+_split_tree also receives a memo dict that lives for one coproduct
 call.  The default hooks parse the key, apply the trees operation and
-settle the result, which is all U𝔤 needs; 𝕋/I overrides the four hooks
-to work on codec texts (freehom.FreeAmbient).
+settle the result, which is all U𝔤 needs; 𝕋/I overrides the three hooks
+to work on codec texts (freehom.FreeAmbient).  S needs no hook: a
+mirrored stored key is a stored key in both quotients.
 
 A subclass supplies the settle step or the hooks, the key reduction,
 the zero test, equality, parsing and the weighted powers.  Elements are
@@ -41,7 +42,7 @@ class OracleInconclusive(RuntimeError):
 
 
 # Δ of an n-leaf tree has 2^n terms: the CLI `coproduct` of a right comb
-# took 0.43–0.46 s at 14 leaves and 1.0–1.4 s at 16 (2 vCPU, Python 3.11.7)
+# took 0.40 s at 14 leaves and 1.1–1.4 s at 16 (2 vCPU, Python 3.11.7)
 COPRODUCT_LEAF_CAP = 16
 
 
@@ -86,7 +87,7 @@ class Ambient:
 
     Subclasses define exact, _level_of, _key_reducer, is_zero, equal,
     power_product and parse, and either _settle, which the default
-    per-key hooks settle with, or the four hooks themselves.
+    per-key hooks settle with, or the three hooks themselves.
     """
 
     exact: bool
@@ -108,11 +109,11 @@ class Ambient:
 
     # the per-key hooks: stored pairs for one key (see the module docstring)
 
-    def _graft_keys(self, ka: str, kb: str, coeff, memo: dict) -> list:
+    def _graft_keys(self, ka: str, kb: str, coeff) -> list:
         """coeff·(ka ∨ kb) as stored (key, coeff) pairs."""
         return self._settle(graft(parse(ka), parse(kb)), coeff)
 
-    def _shift_key(self, key: str, k: int, coeff, memo: dict) -> list:
+    def _shift_key(self, key: str, k: int, coeff) -> list:
         """coeff·α^k(key) as stored (key, coeff) pairs."""
         return self._settle(alpha_shift(parse(key), k), coeff)
 
@@ -129,14 +130,6 @@ class Ambient:
                     out.append(((lk, rk), lc * rc))
         return out
 
-    def _mirror_tree(self, t, coeff) -> tuple:
-        """S(coeff·t) as one stored (key, coeff) pair; t is a parsed key, not the unit.
-
-        Mirroring keeps every weight and decoration, so a stored key
-        mirrors to a stored key and nothing needs settling.
-        """
-        return to_text(mirror(t)), (-1) ** leaf_count(t) * coeff
-
     def unit(self) -> LinComb:
         return LinComb.single("1")
 
@@ -145,18 +138,16 @@ class Ambient:
 
     def graft(self, a: LinComb, b: LinComb) -> LinComb:
         """Bilinear grafting; a unit factor acts through α."""
-        memo: dict = {}
         out = []
         for ka, ca in a.items():
             for kb, cb in b.items():
-                out.extend(self._graft_keys(ka, kb, ca * cb, memo))
+                out.extend(self._graft_keys(ka, kb, ca * cb))
         return LinComb(out)
 
     def alpha(self, p: LinComb, k: int = 1) -> LinComb:
-        memo: dict = {}
         out = []
         for key, coeff in p.items():
-            out.extend(self._shift_key(key, k, coeff, memo))
+            out.extend(self._shift_key(key, k, coeff))
         return LinComb(out)
 
     def coproduct(self, p: LinComb) -> LinComb:
@@ -181,11 +172,18 @@ class Ambient:
         return p.coeff("1")
 
     def antipode(self, p: LinComb) -> LinComb:
-        """S: 𝟙 fixed, a basis tree goes to (−1)^n times its mirror."""
+        """S: 𝟙 fixed, a basis tree goes to (−1)^n times its mirror.
+
+        Mirroring keeps every weight and decoration, so a stored key
+        mirrors to a stored key and nothing needs settling.
+        """
         out = []
         for key, coeff in p.items():
             t = parse(key)
-            out.append(("1", coeff) if is_unit(t) else self._mirror_tree(t, coeff))
+            if is_unit(t):
+                out.append(("1", coeff))
+            else:
+                out.append((to_text(mirror(t)), (-1) ** leaf_count(t) * coeff))
         return LinComb(out)
 
     def tensor(self, a: LinComb, b: LinComb) -> LinComb:

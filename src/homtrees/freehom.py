@@ -15,13 +15,14 @@ format_poly read and write elements of 𝕋 as ±-sums of `[coef*] tree`
 terms over the codec's trees.Reader.
 
 A stored key of 𝕋 is its canonical codec text, so FreeAmbient answers
-Ambient's per-key hooks on texts and builds no tree per term.  ∨ of two
-texts is "(a b)", and with 𝟙 it is the α shift of the other text.  α^k
-adds k to every weight in the text.  Δ walks the key's parsed tree once
-and builds each subtree's splits as pairs of texts by Δ(a∨b) = Δa ∨ Δb,
-in trees.splits order; splits and shifts are memoised for one top-level
-call only.  S renders the mirrored tree, with sign (−1)ⁿ.  Inside a
-text the weight-1 leaf is "1", as a key it is "01"; the key "1" is 𝟙.
+Ambient's per-key hooks for ∨, α and Δ on texts and builds no tree per
+term.  ∨ of two texts is "(a b)", and with 𝟙 it is the α shift of the
+other text.  α^k adds k to every weight in the text.  Δ walks the key's
+parsed tree once and builds each subtree's splits as pairs of texts by
+Δ(a∨b) = Δa ∨ Δb, in trees.splits order; the α shifts it repeats are
+memoised for one coproduct call only.  S mirrors each key's tree once,
+as Ambient does for both quotients.  Inside a text the weight-1 leaf is
+"1", as a key it is "01"; the key "1" is 𝟙.
 
 The oracle rests on a grading.  Assign each leaf the value s_i =
 weight_i + depth_i.  Both sides of the ideal generator have the same
@@ -325,28 +326,33 @@ _KEY = {None: "1", "1": "01"}
 _WEIGHT = re.compile(r"[0-9]+")
 
 
-def _shift_text(text: str, k: int, memo: dict) -> str:
-    """α^k of an inner text: k added to every leaf weight, memoised in memo.
+def _shift_text(text: str, k: int) -> str:
+    """α^k of an inner text: k added to every leaf weight.
 
     A weight driven below zero raises trees.alpha_shift's ValueError.
     """
-    out = memo.get((text, k))
-    if out is None:
-        def shifted(match) -> str:
-            weight = int(match.group())
-            if weight + k < 0:
-                raise ValueError("weight shift by %d would make leaf weight %d negative" % (k, weight))
-            return str(weight + k)
+    def shifted(match) -> str:
+        weight = int(match.group())
+        if weight + k < 0:
+            raise ValueError("weight shift by %d would make leaf weight %d negative" % (k, weight))
+        return str(weight + k)
 
-        out = memo[(text, k)] = _WEIGHT.sub(shifted, text)
+    return _WEIGHT.sub(shifted, text)
+
+
+def _raise_text(text: str, memo: dict) -> str:
+    """α of an inner text, memoised in memo under (text, 1)."""
+    out = memo.get((text, 1))
+    if out is None:
+        out = memo[(text, 1)] = _shift_text(text, 1)
     return out
 
 
 def _graft_column(column: list, b, memo: dict) -> list:
     """[a ∨ b for a in column] on inner texts, None standing for 𝟙."""
     if b is None:
-        return [None if a is None else _shift_text(a, 1, memo) for a in column]
-    raised = _shift_text(b, 1, memo)
+        return [None if a is None else _raise_text(a, memo) for a in column]
+    raised = _raise_text(b, memo)
     return [raised if a is None else "(%s %s)" % (a, b) for a in column]
 
 
@@ -354,57 +360,44 @@ def _text_splits(t, memo: dict) -> tuple:
     """(inner text of t, its splits as pairs of inner texts), in trees.splits order.
 
     Δ(a∨b) = Δa ∨ Δb: the right child's pairs in the outer loop, the
-    left child's in the inner one.  The splits of each subtree are
-    memoised in memo under its text.
+    left child's in the inner one.  memo holds the α shifts.
     """
     if t.__class__ is Leaf:
         text = str(t.weight)
-        pairs = memo.get(text)
-        if pairs is None:
-            pairs = memo[text] = [(None, text), (text, None)]
-        return text, pairs
+        return text, [(None, text), (text, None)]
     left_text, left = _text_splits(t.left, memo)
     right_text, right = _text_splits(t.right, memo)
-    text = "(%s %s)" % (left_text, right_text)
-    pairs = memo.get(text)
-    if pairs is None:
-        firsts = [a for a, _ in left]
-        seconds = [b for _, b in left]
-        pairs = memo[text] = []
-        for b1, b2 in right:
-            pairs.extend(zip(_graft_column(firsts, b1, memo), _graft_column(seconds, b2, memo)))
-    return text, pairs
-
-
-def _mirror_text(t) -> str:
-    if t.__class__ is Leaf:
-        return str(t.weight)
-    return "(%s %s)" % (_mirror_text(t.right), _mirror_text(t.left))
+    firsts = [a for a, _ in left]
+    seconds = [b for _, b in left]
+    pairs = []
+    for b1, b2 in right:
+        pairs.extend(zip(_graft_column(firsts, b1, memo), _graft_column(seconds, b2, memo)))
+    return "(%s %s)" % (left_text, right_text), pairs
 
 
 class FreeAmbient(Ambient):
     """The one-generator quotient 𝕋/I: every check here is decidable.
 
-    Its per-key hooks work on codec texts, so a term of ∨, α, Δ or S is
+    Its per-key hooks work on codec texts, so a term of ∨, α or Δ is
     never built as a tree: a key is parsed (a cached lookup) and walked
-    once for Δ and S, and ∨ and α act on the key texts themselves.  Its
-    keys are undecorated, as parse_poly reads them.
+    once for Δ, and ∨ and α act on the key texts themselves.  Its keys
+    are undecorated, as parse_poly reads them.
     """
 
     name = "free"
     exact = True
 
-    def _graft_keys(self, ka: str, kb: str, coeff, memo: dict) -> list:
+    def _graft_keys(self, ka: str, kb: str, coeff) -> list:
         if ka == "1":
-            return self._shift_key(kb, 1, coeff, memo)
+            return self._shift_key(kb, 1, coeff)
         if kb == "1":
-            return self._shift_key(ka, 1, coeff, memo)
+            return self._shift_key(ka, 1, coeff)
         return [("(%s %s)" % (_INNER.get(ka, ka), _INNER.get(kb, kb)), coeff)]
 
-    def _shift_key(self, key: str, k: int, coeff, memo: dict) -> list:
+    def _shift_key(self, key: str, k: int, coeff) -> list:
         if key == "1":
             return [("1", coeff)]
-        text = _shift_text(_INNER.get(key, key), k, memo)
+        text = _shift_text(_INNER.get(key, key), k)
         return [(_KEY.get(text, text), coeff)]
 
     def _split_tree(self, t, coeff, memo: dict) -> list:
@@ -412,11 +405,6 @@ class FreeAmbient(Ambient):
             return [(("1", "1"), coeff)]
         key = _KEY.get
         return [((key(a, a), key(b, b)), coeff) for a, b in _text_splits(t, memo)[1]]
-
-    def _mirror_tree(self, t, coeff) -> tuple:
-        text = _mirror_text(t)
-        # a canonical text has one space per node, so n − 1 of them
-        return _KEY.get(text, text), -coeff if text.count(" ") % 2 == 0 else coeff
 
     def _level_of(self, keys) -> None:
         return None  # the graded classes are finite: no level to pick

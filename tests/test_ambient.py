@@ -123,14 +123,16 @@ def largest(p):
 
 
 def test_free_text_maps_match_the_tree_path():
-    """∨, α^k, Δ, S, S⋆id and id⋆S of FREE against the tree path, term by term."""
+    """∨, α^k, Δ, S⋆id and id⋆S of FREE against the tree path, term by term.
+
+    S itself is Ambient's body on both sides, so it is not compared here.
+    """
     rng = random.Random(20261020)
     inputs = list(free_inputs(rng, 40, max_leaves=9))
     assert {largest(p) for p in inputs} == set(range(10))
     for p, q in zip(inputs, inputs[1:] + inputs[:1]):
         assert same(FREE.graft(p, q), TREE_PATH.graft(p, q)), (p, q)
         assert same(FREE.coproduct(p), TREE_PATH.coproduct(p)), p
-        assert same(FREE.antipode(p), TREE_PATH.antipode(p)), p
         for k in (1, 2, 3):
             assert same(FREE.alpha(p, k), TREE_PATH.alpha(p, k)), (p, k)
         assert all(same(a, b) for a, b in zip(convolutions(FREE, p), convolutions(TREE_PATH, p))), p

@@ -3,10 +3,10 @@
 rewrites(t) is the tree-valued Hom-associativity rewriter, and
 class_rows(n, s) builds a class the tree way: enumerate_class, to_text
 on every tree and rewrites on every tree.  TreePathAmbient is 𝕋/I with
-∨, α, Δ and S on tree values: every key is parsed, the trees operation
-applied and the result rendered with to_text; the maps built on these
-four (convolution, tensor reduction, primitivity, the index search) run
-through ambient.Ambient as for freehom.FREE.
+∨, α and Δ on tree values: every key is parsed, the trees operation
+applied and the result rendered with to_text; S and the maps built on
+these (convolution, tensor reduction, primitivity, the index search)
+run through ambient.Ambient as for freehom.FREE.
 """
 
 from homtrees.ambient import COPRODUCT_LEAF_CAP, ResourceLimit
@@ -20,7 +20,6 @@ from homtrees.trees import (
     graft,
     is_unit,
     leaf_count,
-    mirror,
     parse,
     splits,
     to_text,
@@ -62,7 +61,7 @@ def settle(t, coeff) -> list:
 
 
 class TreePathAmbient(FreeAmbient):
-    """𝕋/I whose ∨, α, Δ and S build every term as a tree."""
+    """𝕋/I whose ∨, α and Δ build every term as a tree."""
 
     def graft(self, a: LinComb, b: LinComb) -> LinComb:
         out = []
@@ -91,16 +90,6 @@ class TreePathAmbient(FreeAmbient):
                 for lk, lc in settle(left, coeff):
                     for rk, rc in settled:
                         out.append(((lk, rk), lc * rc))
-        return LinComb(out)
-
-    def antipode(self, p: LinComb) -> LinComb:
-        out = []
-        for key, coeff in p.items():
-            t = parse(key)
-            if is_unit(t):
-                out.append(("1", coeff))
-            else:
-                out.append((to_text(mirror(t)), (-1) ** leaf_count(t) * coeff))
         return LinComb(out)
 
 
