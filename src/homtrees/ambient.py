@@ -168,7 +168,7 @@ class Ambient:
             out.extend(self._split_tree(t, coeff, memo))
         return LinComb(out)
 
-    def counit(self, p: LinComb) -> Fraction:
+    def counit(self, p: LinComb) -> int | Fraction:
         return p.coeff("1")
 
     def antipode(self, p: LinComb) -> LinComb:

@@ -195,7 +195,7 @@ def _cmd_antipode_index(args, machine: bool) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _read_scalar(text: str) -> Fraction:
+def _read_scalar(text: str) -> int | Fraction:
     """["+" | "-"] COEF and nothing else, the README's coefficient grammar."""
     r = Reader(text)
     sign = -1 if r.peek() == "-" else 1

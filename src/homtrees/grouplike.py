@@ -26,7 +26,7 @@ from typing import Optional
 
 from .ambient import OracleInconclusive
 from .freehom import FREE, class_of
-from .linalg import LinComb, RowSpace, TruncSeries, frac, series_multiply
+from .linalg import LinComb, RowSpace, TruncSeries, divide, frac, series_multiply
 
 
 def __getattr__(name):
@@ -65,8 +65,7 @@ def is_grouplike_order_p(elem: SeriesElement, p: int) -> GroupLikeResult:
     ambient = elem.ambient
     coeffs = elem.series.coeffs
     for m in range(p + 1):
-        expected = frac(1) if m == 0 else frac(0)
-        if ambient.counit(coeffs[m]) != expected:
+        if ambient.counit(coeffs[m]) != (1 if m == 0 else 0):
             return GroupLikeResult(False, m, "counit")
     for m in range(p + 1):
         pairs = list(ambient.coproduct(coeffs[m]).items())
@@ -198,7 +197,7 @@ def exp_sequence(s, cap: int, ambient=None) -> GroupLikeSequence:
     for p in range(cap + 1):
         coeffs = [ambient.unit()]
         for i in range(1, p + 1):
-            coeffs.append((s ** i / factorial(i)) * ambient.power_product(i, p))
+            coeffs.append(divide(s ** i, factorial(i)) * ambient.power_product(i, p))
         terms.append(TruncSeries(coeffs))
     return GroupLikeSequence(ambient, tuple(terms), 0, cap)
 

@@ -12,7 +12,8 @@ Structure constants are supplied for i < j only; skew-symmetry is
 synthesized.  The α matrix is stored row-per-image: row i holds the
 coordinates of α(e_i).
 
-Elements are plain tuples of Fractions in basis coordinates; as text
+Elements are plain tuples of exact coefficients (ints, and Fractions
+where a value is not integral) in basis coordinates; as text
 they are ±-sums of `[coef*] symbol` terms, read over trees.Reader by
 parse_element and, inside a U𝔤 decoration, by read_element.
 """
@@ -56,13 +57,13 @@ class HomLieAlgebra:
             raise KeyError("unknown basis symbol %r (basis: %s)" % (symbol, ", ".join(self.basis))) from None
 
     def zero(self) -> Coords:
-        return (Fraction(0),) * self.dim
+        return (0,) * self.dim
 
     def basis_vector(self, i: int) -> Coords:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+        return tuple(1 if j == i else 0 for j in range(self.dim))
 
     def bracket(self, x: Coords, y: Coords) -> Coords:
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
@@ -76,7 +77,7 @@ class HomLieAlgebra:
 
     def apply_alpha(self, x: Coords, times: int = 1) -> Coords:
         for _ in range(times):
-            out = [Fraction(0)] * self.dim
+            out = [0] * self.dim
             for i, xi in enumerate(x):
                 if xi:
                     for k, c in enumerate(self.alpha[i]):
@@ -97,7 +98,7 @@ def make_algebra(name: str, basis: Sequence[str], brackets_upper: dict, alpha_ro
     dim = len(names)
     if len(set(names)) != dim or dim == 0:
         raise ValueError("basis symbols must be distinct and non-empty")
-    table = [[(Fraction(0),) * dim for _ in range(dim)] for _ in range(dim)]
+    table = [[(0,) * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
     for (i, j), coords in brackets_upper.items():
         if not (0 <= i < dim and 0 <= j < dim):
@@ -153,7 +154,7 @@ def validate(g: HomLieAlgebra) -> Validation:
         for j in range(dim):
             for k in range(dim):
                 x, y, z = basis[i], basis[j], basis[k]
-                total = [Fraction(0)] * dim
+                total = [0] * dim
                 for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
                     term = g.bracket(g.apply_alpha(a), g.bracket(b, c))
                     total = [t + s for t, s in zip(total, term)]
@@ -191,7 +192,7 @@ class HomLieMorphism:
     matrix: tuple  # matrix[i] = coords of ψ(e_i) in the target basis
 
     def apply(self, x: Coords) -> Coords:
-        out = [Fraction(0)] * self.target.dim
+        out = [0] * self.target.dim
         for i, xi in enumerate(x):
             if xi:
                 for k, c in enumerate(self.matrix[i]):
@@ -239,8 +240,8 @@ def nilpotent_kernel(g: HomLieAlgebra):
     kernel = []
     reduced = {min(row.support()): row for row in system.rows()}
     for f in free:
-        vec = [Fraction(0)] * dim
-        vec[f] = Fraction(1)
+        vec = [0] * dim
+        vec[f] = 1
         for p, row in reduced.items():
             vec[p] = -row.coeff(f)
         kernel.append(tuple(vec))
@@ -284,7 +285,7 @@ def read_symbol(g: HomLieAlgebra, r: Reader) -> int:
 
 def read_element(g: HomLieAlgebra, r: Reader) -> Coords:
     """A ±-sum of `[coef*] symbol` terms, up to the end of the text or a ')'."""
-    out = [Fraction(0)] * g.dim
+    out = [0] * g.dim
     for coeff, i in r.sum(lambda r, sign: (sign * r.coefficient(), read_symbol(g, r))):
         out[i] += coeff
     return tuple(out)
@@ -304,9 +305,10 @@ def parse_element(g: HomLieAlgebra, text: str) -> Coords:
 def load_algebra(source: Union[str, dict]) -> HomLieAlgebra:
     """Load from JSON: {"name","basis","bracket":{"i,j":{"k":"p/q"}},"alpha":[[...]]}.
 
-    Bracket keys may use 0-based indices or basis names on both levels;
-    rationals are strings (or JSON integers).  Row i of alpha gives the
-    coordinates of α(e_i).  A file of any other form raises ValueError.
+    The name is an optional string.  Bracket keys may use 0-based indices
+    or basis names on both levels; rationals are strings (or JSON
+    integers).  Row i of alpha gives the coordinates of α(e_i).  A file of
+    any other form raises ValueError.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -315,7 +317,10 @@ def load_algebra(source: Union[str, dict]) -> HomLieAlgebra:
         data = source
     if not isinstance(data, dict) or not {"basis", "alpha"} <= data.keys():
         raise ValueError("an algebra needs a 'basis' and an 'alpha'")
-    basis, bracket, alpha = data["basis"], data.get("bracket", {}), data["alpha"]
+    name, basis, bracket, alpha = (data.get("name", "algebra"), data["basis"], data.get("bracket", {}),
+                                   data["alpha"])
+    if not isinstance(name, str):
+        raise ValueError("'name' must be a string")
     if not isinstance(basis, list) or not all(isinstance(b, str) and b and Reader(b).name() == b
                                               for b in basis):
         raise ValueError("'basis' must be a list of basis names")
@@ -326,7 +331,7 @@ def load_algebra(source: Union[str, dict]) -> HomLieAlgebra:
     dim = len(basis)
 
     # JSON true and false load as bool, an int subclass; neither is a number here
-    def coefficient(c) -> Fraction:
+    def coefficient(c) -> int | Fraction:
         if not isinstance(c, (int, str)) or isinstance(c, bool):
             raise ValueError("a coefficient must be a rational string or an integer, got %s" % json.dumps(c))
         return frac(c)
@@ -349,9 +354,9 @@ def load_algebra(source: Union[str, dict]) -> HomLieAlgebra:
         if len(parts) != 2:
             raise ValueError("bracket key %r is not of the form 'i,j'" % key)
         i, j = coord_index(parts[0]), coord_index(parts[1])
-        coords = [Fraction(0)] * dim
+        coords = [0] * dim
         for k, c in value.items():
             coords[coord_index(k)] = coefficient(c)
         upper[(i, j)] = coords
     rows = [[coefficient(c) for c in row] for row in alpha]
-    return make_algebra(data.get("name", "algebra"), basis, upper, rows)
+    return make_algebra(name, basis, upper, rows)

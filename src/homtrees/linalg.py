@@ -22,7 +22,9 @@ RowSpace's elimination keeps a column index (key → the pivots whose rows
 hold it), so clearing a new pivot's column touches only those rows; history
 for certificates is kept only when asked for (track=True).
 
-No floating point is used anywhere; coefficients are fractions.Fraction.
+No floating point is used anywhere: a coefficient is an int or a
+fractions.Fraction, and integral inputs give int results (see frac and
+divide).
 Basis keys can be anything hashable that sorts against the other keys of
 the same space (codec strings, pairs of strings for tensors, integer
 coordinates for plain vectors).
@@ -34,17 +36,43 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '-3/2' and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+def frac(x) -> int | Fraction:
+    """Coerce ints, strings like '-3/2' and Fractions to an exact coefficient.
+
+    An integral value (an int or bool, Fraction(4, 2), "4/2") comes back
+    as an int, any other rational as a Fraction; a float raises TypeError.
+    """
+    if x.__class__ is int:
         return x
-    if isinstance(x, float):
-        raise TypeError("floating point coefficients are not allowed: %r" % (x,))
-    return Fraction(x)
+    if not isinstance(x, Fraction):
+        if isinstance(x, float):
+            raise TypeError("floating point coefficients are not allowed: %r" % (x,))
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def divide(a, b) -> int | Fraction:
+    """a/b for coefficients a and b ≠ 0, exactly: an int when b divides a.
+
+    Every division of coefficients goes through here, since a / b of two
+    ints would be a float.
+    """
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    return frac(Fraction(a, b))
 
 
 class LinComb:
     """A finite map from basis keys to nonzero rational coefficients.
+
+    A coefficient is an int or a Fraction, never a float: frac coerces
+    every one that comes in, so an integral value comes in as an int.
+    Arithmetic keeps ints where the operands are ints.  A sum or product
+    of non-integral Fractions that comes out integral (1/2 + 1/2) may stay
+    a Fraction: it compares and hashes equal to the int, and normalising
+    every Fraction operation would cost time on the rational path.
 
     The empty combination is the canonical zero.  Instances are treated
     as immutable: no method mutates self, and the term dict must not be
@@ -58,7 +86,8 @@ class LinComb:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for key, coeff in items:
-                coeff = frac(coeff)
+                if coeff.__class__ is not int:
+                    coeff = frac(coeff)
                 if not coeff:
                     continue
                 acc = data.get(key)
@@ -94,8 +123,8 @@ class LinComb:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+    def coeff(self, key) -> int | Fraction:
+        return self.terms.get(key, 0)
 
     def support(self) -> list:
         return sorted(self.terms)
@@ -230,14 +259,14 @@ class RowSpace:
             return
         pivot = min(residual.terms)
         lead = residual.terms[pivot]
-        normalized = residual if lead == 1 else (1 / lead) * residual
+        normalized = residual if lead == 1 else divide(1, lead) * residual
         if self._track:
             hist = LinComb.single(index)
             for pkey, coeff in combo.items():
                 if coeff:
                     _subtract(hist.terms, coeff, self._history[pkey].terms)
             if lead != 1:
-                hist = (1 / lead) * hist
+                hist = divide(1, lead) * hist
         # keep the reduced invariant: clear the new pivot column in the rows
         # that hold it, updated in place (they are the builder's own until built)
         holders = self._holders
@@ -271,7 +300,7 @@ class RowSpace:
         for key in [k for k in v.terms if k in self._rows]:
             coeff = out.get(key)
             if not coeff:
-                combo.setdefault(key, Fraction(0))
+                combo.setdefault(key, 0)
                 continue
             combo[key] = coeff
             for rkey, rcoeff in self._rows[key].terms.items():
@@ -313,7 +342,7 @@ def _subtract(terms: dict, coeff, other: dict) -> None:
 class Components:
     """The span B of binomial rows, as the components of a weighted graph.
 
-    An edge (k₁, k₂, r), r the int 1 or a nonzero Fraction, is the row
+    An edge (k₁, k₂, r), r a nonzero coefficient, is the row
     k₁ − r·k₂: k₁ ≡ r·k₂ modulo B.  A union-find with each key's ratio to
     its parent joins the keys; a component's representative is its
     largest key, the one free column that elimination with smallest-key
@@ -358,19 +387,18 @@ class Components:
         for k1, k2, r in edges:
             root1, r1 = find(k1)
             root2, r2 = find(k2)
-            # k1 ≡ r·k2 makes root1 ≡ (r·r2/r1)·root2; 1/1 would be a float
+            # k1 ≡ r·k2 makes root1 ≡ (r·r2/r1)·root2
             if r2 is not None and r2 != 1:
                 r = r * r2
-            if r1 is not None and r1 != 1:
-                r = r / r1
+            if r1 is not None:
+                r = divide(r, r1)
             if root1 == root2:
                 if r != 1:
                     spanned.add(root1)
                 continue
             if root1 > root2:
                 root1, root2 = root2, root1
-                if r != 1:
-                    r = 1 / r
+                r = divide(1, r)
             link[root1] = (root2, r)
             if root1 in spanned:
                 spanned.discard(root1)

@@ -32,6 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Union
 
+from .linalg import frac
+
 
 class DecorationMismatch(ValueError):
     """Grafting a decorated tree onto an undecorated one (or vice versa)."""
@@ -403,22 +405,27 @@ class Reader:
         self.pos = pos
         return int(text[start:pos])
 
-    def rational(self) -> Optional[Fraction]:
-        """A `N`, `N/D` or `N.D` number, or None if no digit starts here."""
+    def rational(self) -> Optional[int | Fraction]:
+        """A `N`, `N/D` or `N.D` number, or None if no digit starts here.
+
+        The value is an int when it is integral (always for `N`), else a Fraction.
+        """
         start = self.pos
-        if self.number() is None:
+        value = self.number()
+        if value is None:
             return None
         mark = self.peek()
-        if mark in ("/", "."):
-            self.pos += 1
-            digits = self.pos
-            low = self.number()
-            if low is None or low == 0 and mark == "/":
-                self.pos = digits
-                self.error("expected %s after %r" % ("a nonzero denominator" if mark == "/" else "digits", mark))
-        return Fraction(self.text[start:self.pos])
+        if mark not in ("/", "."):
+            return value
+        self.pos += 1
+        digits = self.pos
+        low = self.number()
+        if low is None or low == 0 and mark == "/":
+            self.pos = digits
+            self.error("expected %s after %r" % ("a nonzero denominator" if mark == "/" else "digits", mark))
+        return frac(self.text[start:self.pos])
 
-    def coefficient(self) -> Fraction:
+    def coefficient(self) -> int | Fraction:
         """A `N*`, `N/D*` or `N.D*` prefix, spaces allowed around '*', or 1 if there is none.
 
         Without a '*' after the number the cursor stays put, so the
@@ -427,11 +434,11 @@ class Reader:
         start = self.pos
         value = self.rational()
         if value is None:
-            return Fraction(1)
+            return 1
         self.spaces()
         if self.peek() != "*":
             self.pos = start
-            return Fraction(1)
+            return 1
         self.pos += 1
         self.spaces()
         return value

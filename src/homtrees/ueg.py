@@ -96,7 +96,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
@@ -104,7 +103,7 @@ from typing import Callable, Optional
 
 from .ambient import Ambient, OracleInconclusive, ResourceLimit
 from .homlie import HomLieAlgebra, HomLieMorphism, read_element, read_symbol, validate_morphism
-from .linalg import Components, LinComb, Membership, RowSpace
+from .linalg import Components, LinComb, Membership, RowSpace, divide
 from .trees import (
     Leaf,
     Node,
@@ -194,7 +193,7 @@ class AlphaTable:
         if hit is None:
             images = self.power(1)
             if all(images[i] for i in moved + kept):
-                hit = Fraction(1)
+                hit = 1
                 for i in moved:
                     c = images[i][0][1]
                     if c is not None:
@@ -202,7 +201,7 @@ class AlphaTable:
                 for i in kept:
                     c = images[i][0][1]
                     if c is not None:
-                        hit = hit / c
+                        hit = divide(hit, c)
             else:
                 hit = 0
             self._ratios[key] = hit
@@ -414,7 +413,7 @@ class LevelSpace:
                     rest.append(row)
                     continue
                 (k1, a), (k2, b) = terms.items()
-                yield k1, k2, -b / a
+                yield k1, k2, divide(-b, a)
 
         self._components = components = Components(edges())
         # one row per line through the origin: the rest projected, scaled to 1 at its smallest key
@@ -424,7 +423,7 @@ class LevelSpace:
             terms = projected.terms
             if terms:
                 lead = terms[min(terms)]
-                line = frozenset(terms.items() if lead == 1 else ((k, c / lead) for k, c in terms.items()))
+                line = frozenset(terms.items() if lead == 1 else ((k, divide(c, lead)) for k, c in terms.items()))
                 lines.setdefault(line, projected)
         self._space = RowSpace(lines.values(), track=False)
         self.rank = components.rank + self._space.rank

@@ -14,12 +14,12 @@ from fractions import Fraction
 import pytest
 
 from homtrees.ambient import ResourceLimit, identity_op
-from homtrees.freehom import FREE
+from homtrees.freehom import FREE, normal_form
 from homtrees.homlie import load_algebra, make_algebra
 from homtrees.linalg import LinComb
-from homtrees.suites import book3
+from homtrees.suites import book3, nonabelian2
 from homtrees.trees import UNIT, Leaf, enumerate_shapes, graft, is_unit, leaf_count, parse, to_text, with_weights
-from homtrees.ueg import UEAmbient
+from homtrees.ueg import UEAmbient, build_level
 from tree_path import TREE_PATH, settle
 
 SL2 = os.path.join(os.path.dirname(__file__), "data", "sl2_twisted.json")
@@ -171,3 +171,37 @@ def test_free_text_map_limits():
     for ambient in (FREE, TREE_PATH):
         with pytest.raises(ResourceLimit, match="17-leaf"):
             ambient.coproduct(LinComb({"01": 1, comb: 1}))
+
+
+def test_integral_inputs_give_int_coefficients():
+    """Every coefficient of the free maps and quotients, and of U(aff2) reduce, stays an int.
+
+    A Fraction here would still give the right answers; it would only show
+    as lost time, so the int path is pinned term by term.
+    """
+    rng = random.Random(20261022)
+
+    def integral(p):
+        return LinComb((key, rng.choice((-3, -2, -1, 1, 2, 5))) for key in p.terms)
+
+    def ints(p):
+        return all(c.__class__ is int for c in p.terms.values())
+
+    def tree(n):
+        return to_text(with_weights(rng.choice(enumerate_shapes(n)), [rng.randint(0, 3) for _ in range(n)]))
+
+    # per leaf count 1–9, four polynomials whose largest tree has that many leaves
+    inputs = [integral(LinComb.single(tree(n)) + random_poly(rng, None, max_leaves=n, max_weight=3,
+                                                             terms=rng.randint(0, 2)))
+              for n in range(1, 10) for _ in range(4)]
+    for p, q in zip(inputs, inputs[1:] + inputs[:1]):
+        delta = FREE.coproduct(p)
+        maps = [FREE.graft(p, q), delta, FREE.antipode(p), FREE.convolve(FREE.antipode, identity_op)(p),
+                FREE.reduce_tensor(delta), normal_form(p)]
+        maps += [FREE.alpha(p, k) for k in (1, 2, 3)]
+        assert all(ints(image) for image in maps), p
+    aff2 = nonabelian2()
+    space = build_level(aff2, 4).space
+    for _ in range(40):
+        p = integral(random_poly(rng, aff2.basis, max_leaves=4, max_weight=0, terms=3))
+        assert ints(space.reduce(p)), p

@@ -300,6 +300,27 @@ def test_a_malformed_algebra_file_is_a_usage_error(capsys, tmp_path, changes):
     assert_one_error_line(*run(capsys, "validate", str(path)))
 
 
+@pytest.mark.parametrize("name", [["aff1"], {"aff": 1}, 1])
+@pytest.mark.parametrize("command", ["validate", "equal", "exp", "grouplike-check"])
+def test_an_algebra_name_that_is_not_a_string_is_a_usage_error(capsys, tmp_path, command, name):
+    # a list or dict name made `equal` and `exp` print a TypeError traceback (unhashable type)
+    algebra = {"name": name, "basis": ["x", "y"], "bracket": {"x,y": {"y": "1"}},
+               "alpha": [["1", "0"], ["0", "1"]]}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra))
+    sequence = tmp_path / "sequence.json"
+    sequence.write_text(json.dumps({"bound": 0, "orders": [["1"]], "algebra": algebra}))
+    argv = {
+        "validate": ["validate", str(path)],
+        "equal": ["equal", "--algebra", str(path), "--lhs", "0:x", "--rhs", "0:x"],
+        "exp": ["exp", "--scalar", "1", "--algebra", str(path), "--element", "x"],
+        "grouplike-check": ["grouplike-check", "--file", str(sequence)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert "'name' must be a string" in err
+
+
 @pytest.mark.parametrize("joined", [
     ("--machine", "exp", "--scalar=-1/2", "--order", "2"),
     ("--machine", "nf", "--expr=-((0 0) 01)"),

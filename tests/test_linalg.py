@@ -9,6 +9,8 @@ from homtrees.linalg import (
     OrderMismatch,
     RowSpace,
     TruncSeries,
+    divide,
+    frac,
     series_multiply,
 )
 
@@ -43,7 +45,32 @@ def test_lincomb_arithmetic():
 
 def test_lincomb_rejects_floats():
     with pytest.raises(TypeError):
+        frac(0.5)
+    with pytest.raises(TypeError):
         LinComb({"x": 0.5})
+    with pytest.raises(TypeError):
+        0.5 * LinComb({"x": 1})
+
+
+@pytest.mark.parametrize("value", [2, True, Fraction(4, 2), "4/2", "-6/3", "2.0"])
+def test_frac_gives_an_int_for_an_integral_value(value):
+    assert frac(value).__class__ is int
+    assert frac(value) == Fraction(value)
+
+
+def test_frac_keeps_a_non_integral_rational_a_fraction():
+    assert frac("1/2").__class__ is Fraction
+    assert frac(Fraction(-3, 2)) == Fraction(-3, 2)
+
+
+@pytest.mark.parametrize("a, b, quotient", [
+    (6, 3, 2), (3, -1, -3), (1, 2, Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 2), 3),
+    (-1, Fraction(-1, 4), 4), (Fraction(1, 3), 1, Fraction(1, 3)),
+])
+def test_divide_is_exact_and_an_int_when_integral(a, b, quotient):
+    result = divide(a, b)
+    assert result == quotient
+    assert result.__class__ is quotient.__class__
 
 
 def test_lincomb_map_keys_merges_collisions():
@@ -142,12 +169,12 @@ class FullScanRowSpace:
             return
         pivot = min(residual.terms)
         lead = residual.terms[pivot]
-        normalized = (1 / lead) * residual
+        normalized = (Fraction(1) / lead) * residual
         if self._track:
             hist = LinComb.single(index)
             for pkey, coeff in combo.items():
                 hist = hist - coeff * self._history[pkey]
-            hist = (1 / lead) * hist
+            hist = (Fraction(1) / lead) * hist
         for pkey in list(self._rows):
             existing = self._rows[pkey]
             coeff = existing.terms.get(pivot)
@@ -267,7 +294,7 @@ def test_components_match_row_space_on_weighted_binomials(kind):
         space = Components(edges)
         reference = RowSpace((LinComb([(a, 1), (b, -r)]) for a, b, r in edges), track=False)
         assert space.rank == reference.rank
-        assert all(r.__class__ is Fraction for r in space._ratio.values())
+        assert all(r.__class__ in (int, Fraction) for r in space._ratio.values())
         if kind == "ones":
             assert not space._ratio  # every ratio is 1: no Fraction is made
         queries = [LinComb.single(key) for key in keys]
@@ -276,7 +303,7 @@ def test_components_match_row_space_on_weighted_binomials(kind):
         for v in queries:
             projected = space.project(v)
             assert projected == reference.reduce(v)
-            assert all(c.__class__ is Fraction for c in projected.terms.values())
+            assert all(c.__class__ in (int, Fraction) for c in projected.terms.values())
         for key in keys:
             assert (key in space) == (key in reference.pivots())
 
@@ -286,7 +313,7 @@ def test_components_keep_a_ratio_of_one_an_int():
     # carries that ratio into every key of the component
     space = Components([("a", "b", 1), ("a", "c", 1), ("d", "a", Fraction(2))])
     assert space._ratio == {key: Fraction(1, 2) for key in "abc"}
-    assert all(r.__class__ is Fraction for r in space._ratio.values())
+    assert all(r.__class__ in (int, Fraction) for r in space._ratio.values())
     assert space.project(LinComb({"b": 4, "x": 1})).terms == {"d": Fraction(2), "x": Fraction(1)}
 
 
