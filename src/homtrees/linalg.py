@@ -10,10 +10,12 @@ reductions) is built on four small exact structures:
 
 The two quotients of the tree algebra use them as follows.  𝕋/I has only
 ±1 binomial rows: freehom.ClassComponents is Components with ratio 1,
-plus a spanning forest for certificates.  U𝔤 uses both engines:
-ueg.LevelSpace contracts a level's binomial rows with Components and
-eliminates the projected rest with one RowSpace without history, and a
-certificate, when read, eliminates all of a level's rows with history.
+plus a spanning forest for certificates.  U𝔤 eliminates with RowSpace:
+for an invertible diagonal α, ueg.WordSpace needs no R1 row and
+eliminates the bracket rows in word coordinates; for any other α,
+ueg.LevelSpace contracts a level's two-term rows with Components and
+eliminates the projected rest, both without history.  A certificate,
+when read, eliminates all of a level's rows with history.
 RowSpace also serves the order-p checks of group-like sequences
 (grouplike) and the kernel computations of homlie; over all the rows it
 remains the reference engine of both quotients in the tests.

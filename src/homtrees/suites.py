@@ -785,4 +785,6 @@ def run_criterion(number: int, escalation_cap: Optional[int] = None) -> Criterio
 def run_suite(name: str, escalation_cap: Optional[int] = None) -> list:
     if name not in SUITES:
         raise ValueError("unknown suite %r; choose from %s" % (name, sorted(SUITES)))
+    if escalation_cap is not None and escalation_cap < 1:
+        raise ValueError("level must be at least 1, got %d" % escalation_cap)
     return [run_criterion(n, escalation_cap) for n in SUITES[name]]

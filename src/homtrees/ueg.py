@@ -29,18 +29,37 @@ policy is fixed: start at the largest leaf count + 1 (DEFAULT_SLACK),
 escalate to escalation_cap, and build no level of more than 8000 basis
 trees (DEFAULT_BASIS_CAP; ResourceLimit beyond it).
 
-A level's span W is held by a LevelSpace, which keeps no history, since
-verdicts, residuals and normal forms need none.  It works in two steps.
+A level's span W keeps no history, since verdicts, residuals and normal
+forms need none.  It is held by one of two engines.
 
-  1. Contract the binomial rows.  When α is diagonal, an R1 row at
-     weight 0 is c·k₁ − c′·k₂, k₁ the tree's own text and k₂ its
-     rotation over the same leaf texts, c and c′ products of diagonal
-     entries of α; or it has fewer terms, when α kills a raised leaf.
-     A level build hands such a binomial over as the record
-     (k₁, k₂, c′/c), k₁ ≡ (c′/c)·k₂, a weighted edge, with the ratio
-     worked out once per algebra (AlphaTable.ratio), so no LinComb is
-     built; any other two-term row a·k₁ + b·k₂ is the edge
-     k₁ ≡ (−b/a)·k₂.  linalg.Components joins the weighted edges into
+WordSpace, when α is diagonal with every entry λᵢ nonzero.  Then R1 is
+plain associativity twisted by α, and its quotient is spanned by leaf
+words in closed form; no R1 row is made.
+
+  1. The R1 quotient.  Let φ(t) be the product over t's leaves of
+     λ_dec^depth.  An R1 row at (A∨B)∨C is c_C·k₁ − c_A·k₂, c_S the
+     product of λ over the leaves of S, and φ(k₁)/φ(k₂) = c_A/c_C, so in
+     the coordinates u_t = t/φ(t) the row is a multiple of u_{k₁} − u_{k₂}.
+     Rotations join all bracketings of one leaf word (the Tamari lattice
+     is connected), so the R1 span B identifies u_t over each word w and
+     nothing more: dim B is the number of basis trees minus the number of
+     words.  The projection onto V/B is π(t) = (φ(t)/φ(rc w))·rc(w), rc(w)
+     the right comb over t's word, which is the largest text of its class
+     since "(" < "0".  𝟙 and keys with more leaves than the level stay.
+  2. The R2 rows.  In word coordinates the R2 row at siblings x < y at
+     leaf positions i, i+1, their parent at depth p, is
+     u_w − u_w′ − Σ_k c_k·λ_k^p/(λ_x·λ_y)^(p+1)·u_{w_k}, w′ the word with x
+     and y swapped and w_k the word with e_k in their place.  It depends
+     only on (w, i, p), so a level makes one row per word, position and
+     parent depth that some shape has (a non-multiplicative α gives
+     different rows at different p), and eliminates them by one RowSpace
+     keyed by rc texts.  reduce(v) maps v to word coordinates, reduces
+     it, and divides the coefficient at each rc(w) by φ(rc w).
+
+LevelSpace, for every other α.  It reads the level's rows as LinCombs.
+
+  1. Contract the binomial rows.  A two-term row a·k₁ + b·k₂ is the edge
+     k₁ ≡ (−b/a)·k₂; linalg.Components joins the weighted edges into
      components of the binomial span B: each has its largest key in
      string order as representative, with k ≡ r·rep for each key k of
      it, or lies wholly inside B.
@@ -65,7 +84,9 @@ and their number is dim B + dim π(W) = dim W, so they are all the
 pivots of W: reduce(v) is supported off them, and it is the reduced
 residual.  For the same reason rank is the number of keys that
 do not represent their component, plus the representatives of the
-components inside B, plus the rank of the second step.
+components inside B, plus the rank of the second step.  WordSpace's
+second step works in coordinates rescaled per key, which moves no
+pivot: its residual, scaled back, is the same reduced residual.
 
 Why dropping scalar multiples changes nothing.  A dropped row lies in
 the span of the kept rows, so the second step spans the same π(W).  A
@@ -77,19 +98,18 @@ projected rows.  Rows are matched by their terms divided by the
 coefficient of their smallest key, which is the same for two rows
 exactly when one is a scalar multiple of the other.
 
-The certificate of an Equal verdict is worked out when it is first
-read: the level context then regenerates its rows in build order and
-keeps one tracked RowSpace over them, so the certificate is the one a
-tracked build would have given.
+A level context's basis and row_sources, and the certificate of an
+Equal verdict, are worked out when first read: the context then
+regenerates its rows in build order, and a certificate keeps one
+tracked RowSpace over them, the one a tracked build would have given.
 
 Every settled term and every relation row goes through one AlphaTable
-per algebra: the supports of α^w(e_i), the ratios of R1 records, and
-shape templates that render a decorated tree by filling in leaf texts.  A level build makes the row
+per algebra: the supports of α^w(e_i), and shape templates that render
+a decorated tree by filling in leaf texts.  A level walk makes the row
 pattern of each shape once (_ShapeRows) and fills it in for every
-decoration of that shape.  Certificates and relation_rows_for get every
-row as a LinComb, as it reads: an R1 row of a diagonal α is the
-product of the kept leaves' coefficients times k₁, minus the product of
-the moved leaves' coefficients times k₂, in that key order.
+decoration of that shape, every row a LinComb: an R1 row of a diagonal
+α is the product of the kept leaves' coefficients times k₁, minus the
+product of the moved leaves' coefficients times k₂, in that key order.
 """
 
 from __future__ import annotations
@@ -103,7 +123,7 @@ from typing import Callable, Optional
 
 from .ambient import Ambient, OracleInconclusive, ResourceLimit
 from .homlie import HomLieAlgebra, HomLieMorphism, read_element, read_symbol, validate_morphism
-from .linalg import Components, LinComb, Membership, RowSpace, divide
+from .linalg import Components, LinComb, Membership, RowSpace, divide, frac
 from .trees import (
     Leaf,
     Node,
@@ -147,8 +167,7 @@ class AlphaTable:
     coefficient) pairs, the coefficient None where it is 1, so that a
     product of coordinates skips it.  A zero-weight decorated tree is
     rendered by filling its shape template with the leaf texts "0:name".
-    The R1 ratios it works out (ratio) live as long as the table, which
-    alpha_table keeps for the 16 most recently used algebras.
+    alpha_table keeps the tables of the 16 most recently used algebras.
     """
 
     def __init__(self, g: HomLieAlgebra):
@@ -158,7 +177,6 @@ class AlphaTable:
         self._powers: dict = {}
         # diagonal: every α^w(e_i) is a multiple of e_i, so an R1 row has at most two terms
         self.diagonal = all(not c for i, row in enumerate(g.alpha) for j, c in enumerate(row) if i != j)
-        self._ratios: dict = {}
 
     def power(self, w: int) -> tuple:
         hit = self._powers.get(w)
@@ -179,33 +197,6 @@ class AlphaTable:
                 raise ValueError("absorb_weights needs a decoration on every leaf")
             self.g.index_of(name)  # raises KeyError naming the symbol
         return i
-
-    def ratio(self, moved: tuple, kept: tuple):
-        """For a diagonal α: c_moved/c_kept, c_S the product of the coefficients of α(e_i), i in S.
-
-        moved and kept are the basis indices of the zero-weight leaves that
-        an R1 row raises on either side, so the row is c_kept·k₁ −
-        c_moved·k₂ and k₁ ≡ ratio·k₂.  It is 0 when α sends one of them to
-        0, and then the row is not a binomial.
-        """
-        key = (moved, kept)
-        hit = self._ratios.get(key)
-        if hit is None:
-            images = self.power(1)
-            if all(images[i] for i in moved + kept):
-                hit = 1
-                for i in moved:
-                    c = images[i][0][1]
-                    if c is not None:
-                        hit = hit * c
-                for i in kept:
-                    c = images[i][0][1]
-                    if c is not None:
-                        hit = divide(hit, c)
-            else:
-                hit = 0
-            self._ratios[key] = hit
-        return hit
 
     def expand(self, template: str, supports, coeff) -> list:
         """coeff·(template filled per leaf support), multilinearly, as (key, coeff) pairs."""
@@ -288,8 +279,7 @@ class _ShapeRows:
     Entries follow the internal nodes in preorder.  R1 at a node carrying
     (A∨B)∨C keeps the shape with C's weights raised by one, against the
     rotation A∨(B∨C) with A's weights raised; leaf order is the same in
-    both, so the row is two template expansions over leaf ranges, or,
-    for a diagonal α, the tree's text, its rotation and a ratio.  R2 at
+    both, so the row is two template expansions over leaf ranges.  R2 at
     a node over leaves i, i+1 swaps two leaf texts, or collapses the two
     leaves into one.
     """
@@ -313,14 +303,11 @@ class _ShapeRows:
         self._walk(shape, left, path + (0,), start)
         self._walk(shape, right, path + (1,), start + leaf_count(left))
 
-    def rows(self, table: AlphaTable, text: str, texts: tuple, weights, indices, records=False) -> list:
+    def rows(self, table: AlphaTable, text: str, texts: tuple, weights, indices) -> list:
         """(row, source) pairs of the decorated tree with these leaves.
 
         text is the tree's codec text, texts its leaf texts; weights and
-        indices give each leaf's weight and basis index.  With records
-        (zero weights and a diagonal α only), an R1 row that is a binomial
-        c·k₁ − c′·k₂ comes as the record (k₁, k₂, c′/c); every other row is
-        a LinComb.
+        indices give each leaf's weight and basis index.
         """
         brackets = table.g.brackets
         base = raised = None
@@ -328,11 +315,6 @@ class _ShapeRows:
         for entry in self.entries:
             if entry[0] == "R1":
                 _, path, a_start, a_end, c_start, c_end, rotated = entry
-                if records:
-                    ratio = table.ratio(indices[a_start:a_end], indices[c_start:c_end])
-                    if ratio:
-                        out.append(((text, rotated % texts, ratio), ("R1", text, path)))
-                        continue
                 if base is None:
                     base = [table.power(w)[i] for w, i in zip(weights, indices)]
                     raised = [table.power(w + 1)[i] for w, i in zip(weights, indices)]
@@ -371,14 +353,9 @@ def relation_rows_for(g: HomLieAlgebra, t):
     return _ShapeRows(t).rows(table, template % texts, texts, [lf.weight for lf in leaves], indices)
 
 
-def _level_trees(table: AlphaTable, level: int, records=False):
-    """(text, relation rows) per basis tree with at most `level` leaves, in build order.
-
-    With records and a diagonal α, binomial R1 rows come as (k₁, k₂, ratio)
-    records (see _ShapeRows.rows); otherwise every row is a LinComb.
-    """
+def _level_trees(table: AlphaTable, level: int):
+    """(text, relation rows) per basis tree with at most `level` leaves, in build order."""
     dim = table.g.dim
-    records = records and table.diagonal
     for n in range(1, level + 1):
         weights = (0,) * n
         for shape in enumerate_shapes(n):
@@ -386,18 +363,17 @@ def _level_trees(table: AlphaTable, level: int, records=False):
             for indices in product(range(dim), repeat=n):
                 texts = tuple(table.leaf_texts[i] for i in indices)
                 text = plan.template % texts
-                yield text, plan.rows(table, text, texts, weights, indices, records)
+                yield text, plan.rows(table, text, texts, weights, indices)
 
 
 class LevelSpace:
-    """The span of one level's relation rows (see the module docstring).
+    """The span of one level's LinComb relation rows (see the module docstring).
 
-    A row is a LinComb or a record (k₁, k₂, r) that stands for k₁ − r·k₂.
-    Records and two-term rows are contracted by linalg.Components; the
-    other rows are projected onto the representatives, one per line
-    through the origin, and eliminated by one RowSpace without history.
-    The interface is RowSpace's without certificates: rank, reduce and
-    membership (verdict and residual).
+    Two-term rows are contracted by linalg.Components; the other rows are
+    projected onto the representatives, one per line through the origin,
+    and eliminated by one RowSpace without history.  The interface is
+    RowSpace's without certificates: rank, reduce and membership (verdict
+    and residual).
     """
 
     def __init__(self, rows):
@@ -405,9 +381,6 @@ class LevelSpace:
 
         def edges():
             for row in rows:
-                if row.__class__ is tuple:
-                    yield row
-                    continue
                 terms = row.terms
                 if len(terms) != 2:
                     rest.append(row)
@@ -435,24 +408,139 @@ class LevelSpace:
         return self._space.membership(self._components.project(v))
 
 
+def _cherry_depths(n: int, i: int) -> range:
+    """The depths of a node over leaves i and i+1 in the shapes of n leaves.
+
+    With that node as one leaf, an (n−1)-leaf tree has its leaf i at depth
+    at most n − 2, and at least 2 when leaves lie on both sides of it.
+    """
+    if n == 2:
+        return range(1)
+    return range(1 if i == 0 or i == n - 2 else 2, n - 1)
+
+
+class WordSpace:
+    """The span of one level's relation rows for an invertible diagonal α (see the module docstring).
+
+    A key of the level is held in word coordinates, keyed by the text of
+    the right comb over its word; the R2 rows in those coordinates are
+    eliminated by one RowSpace without history.  The interface is
+    LevelSpace's: rank, reduce and membership.
+    """
+
+    def __init__(self, table: AlphaTable, level: int, size: int):
+        g = table.g
+        lam = [1 if c is None else frac(c) for ((_, c),) in table.power(1)]
+        # powers[i][d] = λᵢ^d, the factor of φ for a leaf e_i at depth d
+        self._powers = powers = [[c ** d for d in range(level + 1)] for c in lam]
+        self._index = {text: i for i, text in enumerate(table.leaf_texts)}
+        self._level = level
+        self._texts = texts = {}  # word -> text of its right comb
+        self._phi = phi = {}  # right comb text -> φ(right comb)
+        for n in range(1, level + 1):
+            template = "(%s " * (n - 1) + "%s" + ")" * (n - 1)
+            depths = tuple(range(1, n)) + (n - 1,) if n > 1 else (0,)
+            for word in product(range(g.dim), repeat=n):
+                text = texts[word] = template % tuple(table.leaf_texts[i] for i in word)
+                value = 1
+                for i, d in zip(word, depths):
+                    value = value * powers[i][d]
+                phi[text] = value
+        # (x, y, p) -> the (k, −c_k·λ_k^p/(λ_x·λ_y)^(p+1)) over the support of [e_x, e_y]
+        scaled = {(x, y, p): tuple((k, -divide(c * powers[k][p], (lam[x] * lam[y]) ** (p + 1)))
+                                   for k, c in enumerate(g.brackets[x][y]) if c)
+                  for x in range(g.dim) for y in range(x + 1, g.dim) for p in range(level - 1)}
+        rows = []
+        for n in range(2, level + 1):
+            for word in product(range(g.dim), repeat=n):
+                for i in range(n - 1):
+                    x, y = word[i], word[i + 1]
+                    if x >= y:
+                        continue  # the swapped word gives the same row, negated
+                    head = ((texts[word], 1), (texts[word[:i] + (y, x) + word[i + 2:]], -1))
+                    # a multiplicative α gives one row at every depth
+                    for terms in dict.fromkeys(scaled[x, y, p] for p in _cherry_depths(n, i)):
+                        rows.append(LinComb(head + tuple((texts[word[:i] + (k,) + word[i + 2:]], c)
+                                                         for k, c in terms)))
+        self._space = RowSpace(rows, track=False)
+        self.rank = size - len(texts) + self._space.rank
+
+    def _word_of(self, key: str):
+        """(right comb text, φ(key)) for a key of the level; None for 𝟙 and longer keys."""
+        pieces = key.split(" ")
+        if len(pieces) > self._level:
+            return None
+        index, powers = self._index, self._powers
+        depth = 0
+        word = []
+        factor = 1
+        for piece in pieces:
+            leaf = piece.lstrip("(")
+            depth += len(piece) - len(leaf)
+            closes = len(leaf)
+            leaf = leaf.rstrip(")")
+            i = index.get(leaf)
+            if i is None:
+                return None
+            word.append(i)
+            factor = factor * powers[i][depth]
+            depth -= closes - len(leaf)
+        return self._texts[tuple(word)], factor
+
+    def reduce(self, v: LinComb) -> LinComb:
+        words = []
+        for key, coeff in v.terms.items():
+            hit = self._word_of(key)
+            words.append((key, coeff) if hit is None else (hit[0], coeff * hit[1]))
+        residual = self._space.reduce(LinComb(words))
+        phi = self._phi
+        out = LinComb()
+        out.terms = {key: divide(c, phi[key]) if key in phi else c for key, c in residual.terms.items()}
+        return out
+
+    def membership(self, v: LinComb) -> Membership:
+        residual = self.reduce(v)
+        if residual:
+            return Membership(False, None, residual)
+        return Membership(True, None, None)
+
+
 @dataclass(eq=False)
 class LevelContext:
     """Every relation row over basis trees with at most `level` leaves.
 
-    space is the span without history, a LevelSpace: binomial rows
-    contracted, the rest eliminated, and reduce and membership verdicts
-    come from it.  certificate(p) recombines p from relation rows; its
-    first call regenerates the rows from the basis in build order (row i
-    comes from row_sources[i]) and keeps one tracked RowSpace over all of
-    them, so each later call is a query.
+    space is the span without history, a WordSpace or a LevelSpace, and
+    reduce and membership verdicts come from it.  basis and row_sources
+    (row i comes from row_sources[i]) are walked on first read, unless the
+    build walked them already.  certificate(p) recombines p from relation
+    rows; its first call regenerates the rows from the basis in build
+    order and keeps one tracked RowSpace over all of them, so each later
+    call is a query.
     """
 
     g: HomLieAlgebra
     level: int
-    basis: tuple
-    row_sources: tuple  # ("R1"|"R2", base tree text, node path) per row
-    space: LevelSpace
+    space: WordSpace | LevelSpace
+    _layout: Optional[tuple] = field(default=None, repr=False)  # (basis, row_sources)
     _tracked: Optional[RowSpace] = field(default=None, repr=False)
+
+    def _walk(self) -> tuple:
+        if self._layout is None:
+            basis, sources = [], []
+            for text, rows in _level_trees(alpha_table(self.g), self.level):
+                basis.append(text)
+                sources.extend(source for _, source in rows)
+            self._layout = tuple(basis), tuple(sources)
+        return self._layout
+
+    @property
+    def basis(self) -> tuple:
+        return self._walk()[0]
+
+    @property
+    def row_sources(self) -> tuple:
+        """("R1"|"R2", base tree text, node path) per row."""
+        return self._walk()[1]
 
     def certificate(self, p: UPoly) -> Optional[LinComb]:
         """p as a combination of relation rows (row_sources indices), None outside the span."""
@@ -480,15 +568,17 @@ def build_level(g: HomLieAlgebra, level: int) -> LevelContext:
             "level %d over a %d-dimensional algebra needs %d basis trees (cap %d)"
             % (level, g.dim, size, DEFAULT_BASIS_CAP)
         )
-    basis = []
-    rows = []
-    sources = []
-    for text, tree_rows in _level_trees(alpha_table(g), level, records=True):
-        basis.append(text)
-        for row, source in tree_rows:
-            rows.append(row)
-            sources.append(source)
-    ctx = LevelContext(g, level, tuple(basis), tuple(sources), LevelSpace(rows))
+    table = alpha_table(g)
+    if table.diagonal and all(table.power(1)):
+        ctx = LevelContext(g, level, WordSpace(table, level, size))
+    else:
+        basis, rows, sources = [], [], []
+        for text, tree_rows in _level_trees(table, level):
+            basis.append(text)
+            for row, source in tree_rows:
+                rows.append(row)
+                sources.append(source)
+        ctx = LevelContext(g, level, LevelSpace(rows), (tuple(basis), tuple(sources)))
     _level_cache[(g, level)] = ctx
     if len(_level_cache) > LEVEL_CACHE_SIZE:
         _level_cache.popitem(last=False)
@@ -527,6 +617,8 @@ def max_leaves(p: UPoly) -> int:
 
 
 def equal_mod_U(g: HomLieAlgebra, a: UPoly, b: UPoly, level: int) -> UEquality:
+    if level < 1:
+        raise ValueError("level must be at least 1")
     diff = a - b
     need = max_leaves(diff)
     if need > level:

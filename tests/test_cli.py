@@ -114,6 +114,22 @@ def test_equal_level_below_operands_is_a_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("level", ["0", "-2"])
+def test_equal_refuses_a_level_below_one(capsys, level):
+    code, out, err = run(capsys, "equal", "--algebra", SL2, "--lhs", "0:E", "--rhs", "0:F", "--level", level)
+    assert code == 2
+    assert out == ""
+    assert err == "error: level must be at least 1\n"
+
+
+@pytest.mark.parametrize("suite, level", [("ueg", "0"), ("ueg", "-1"), ("trees", "-1")])
+def test_verify_refuses_a_level_below_one(capsys, suite, level):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--level", level)
+    assert code == 2
+    assert out == ""
+    assert err == "error: level must be at least 1, got %s\n" % level
+
+
 def test_a_high_level_hits_the_basis_cap_at_once(capsys):
     # the level is sized by counting shapes, not by building them
     start = time.perf_counter()

@@ -91,14 +91,6 @@ def sl2_chevalley():
     return twist(base, ((0, 0, -1), (0, -1, 0), (-1, 0, 0)), name="sl2-chevalley")
 
 
-def expand_record(row):
-    """A level row as a LinComb: the record (k₁, k₂, r) becomes k₁ − r·k₂."""
-    if isinstance(row, tuple):
-        k1, k2, r = row
-        return LinComb({k1: 1, k2: -r})
-    return row
-
-
 def leaf(g, name):
     return LinComb.single("0:" + name)
 
@@ -322,17 +314,6 @@ def _ordered(rows):
 SL2_JSON = os.path.join(os.path.dirname(__file__), "data", "sl2_twisted.json")
 
 
-def _assert_record_expands_to(row, reference):
-    """A level row is the reference row itself, or a record of it: same keys in order, same ratio."""
-    if not isinstance(row, tuple):
-        assert list(row.terms.items()) == list(reference.terms.items())
-        return
-    k1, k2, r = row
-    assert list(reference.terms) == [k1, k2]
-    kept = reference.terms[k1]  # the product of the kept leaves' α coefficients
-    assert list((kept * expand_record(row)).terms.items()) == list(reference.terms.items())
-
-
 def test_relation_rows_and_levels_match_the_tree_by_tree_reference():
     algebras = [
         (aff2(), 4),
@@ -359,19 +340,11 @@ def test_relation_rows_and_levels_match_the_tree_by_tree_reference():
             t = with_weights(rng.choice(enumerate_shapes(n)), [rng.randint(0, 2) for _ in range(n)],
                              [rng.choice(g.basis) for _ in range(n)])
             assert _ordered(relation_rows_for(g, t)) == _ordered(_reference_rows(g, t))
-        # a level build's rows, binomial R1 rows as records, expand to the reference rows
-        table = ueg.alpha_table(g)
-        level_rows = [(text, tree_rows) for text, tree_rows in ueg._level_trees(table, top, records=True)]
+        # a level walk's rows are the reference rows
+        level_rows = list(ueg._level_trees(ueg.alpha_table(g), top))
         assert [text for text, _ in level_rows] == [to_text(t) for t in trees]
-        records = 0
         for (text, tree_rows), t in zip(level_rows, trees):
-            reference = _reference_rows(g, t)
-            assert [source for _, source in tree_rows] == [source for _, source in reference]
-            for (row, _), (want, _) in zip(tree_rows, reference):
-                _assert_record_expands_to(row, want)
-                records += isinstance(row, tuple)
-        # records come exactly from a diagonal α that is not 0
-        assert (records > 0) == (table.diagonal and any(map(any, g.alpha)))
+            assert _ordered(tree_rows) == _ordered(_reference_rows(g, t))
         for level in range(1, top + 1):
             ctx = build_level(g, level)
             basis = [to_text(t) for t in trees if len(weights_of(t)) <= level]
@@ -448,27 +421,74 @@ def _assert_same_span(space, reference, keys, rng):
             assert (got.inside, got.certificate, got.residual) == (want.inside, None, want.residual)
 
 
+def _level_rows(g, level):
+    """The basis and the relation rows of a level walk."""
+    basis, rows = [], []
+    for text, tree_rows in ueg._level_trees(ueg.alpha_table(g), level):
+        basis.append(text)
+        rows.extend(row for row, _ in tree_rows)
+    return basis, rows
+
+
+def _long_keys(g, n, rng, count=3):
+    """Random zero-weight keys of n leaves, above the level under test."""
+    return [to_text(with_weights(rng.choice(enumerate_shapes(n)), [0] * n, [rng.choice(g.basis) for _ in range(n)]))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("g, level, engine", [
+    (aff2(), 5, ueg.WordSpace),
+    (aff2(((1, 0), (0, -1))), 5, ueg.WordSpace),
+    (aff2(((1, 0), (0, Fraction(2, 3)))), 5, ueg.WordSpace),
+    (aff2(((1, 0), (0, 3))), 5, ueg.WordSpace),
+    (aff2(((0, 0), (0, 0))), 5, ueg.LevelSpace),
+    (aff2(((1, 0), (0, 0))), 5, ueg.LevelSpace),
+    (aff2(((1, 1), (0, 1))), 4, ueg.LevelSpace),
+    (load_algebra(SL2_JSON), 4, ueg.WordSpace),
+    (sl2_chevalley(), 4, ueg.LevelSpace),
+    (abelian(2, alpha=((0, 1), (0, 0))), 5, ueg.LevelSpace),
+], ids=["aff2-id", "aff2-minus1", "aff2-2/3", "aff2-3", "aff2-alpha0", "aff2-kills-y", "aff2-mixing",
+        "sl2-twisted", "sl2-chevalley", "ab2-shift"])
+def test_level_space_matches_row_space_on_level_rows(g, level, engine):
+    # the level space over the rows of a level walk, for every α; a level build takes the
+    # word space only when α is diagonal with no zero entry
+    assert type(build_level(g, level).space) is engine
+    basis, rows = _level_rows(g, level)
+    reference = RowSpace(rows, track=False)
+    rng = random.Random(level)
+    _assert_same_span(ueg.LevelSpace(rows), reference, basis + ["1"] + _long_keys(g, level + 2, rng), rng)
+
+
 @pytest.mark.parametrize("g, level", [
     (aff2(), 5),
     (aff2(((1, 0), (0, -1))), 5),
     (aff2(((1, 0), (0, Fraction(2, 3)))), 5),
     (aff2(((1, 0), (0, 3))), 5),
-    (aff2(((0, 0), (0, 0))), 5),
-    (aff2(((1, 1), (0, 1))), 4),
+    (make_algebra("aff2-mu", ("x", "y"), {(0, 1): (0, Fraction(1, 2))}, ((1, 0), (0, -2))), 4),
     (load_algebra(SL2_JSON), 4),
-    (sl2_chevalley(), 4),
-    (abelian(2, alpha=((0, 1), (0, 0))), 5),
-], ids=["aff2-id", "aff2-minus1", "aff2-2/3", "aff2-3", "aff2-alpha0", "aff2-mixing", "sl2-twisted",
-        "sl2-chevalley", "ab2-shift"])
-def test_level_space_matches_row_space_on_level_rows(g, level):
-    # the level space reads the rows as a build makes them, records included;
-    # the reference gets each record as the LinComb k₁ − r·k₂
-    basis, rows = [], []
-    for text, tree_rows in ueg._level_trees(ueg.alpha_table(g), level, records=True):
-        basis.append(text)
-        rows.extend(row for row, _ in tree_rows)
-    reference = RowSpace((expand_record(row) for row in rows), track=False)
-    _assert_same_span(ueg.LevelSpace(rows), reference, basis, random.Random(level))
+    (make_algebra("nm", ("x", "y"), {(0, 1): (0, 1)}, ((2, 0), (0, 3))), 5),  # not multiplicative
+], ids=["aff2-id", "aff2-minus1", "aff2-2/3", "aff2-3", "aff2-mu", "sl2-twisted", "nm"])
+def test_word_space_matches_row_space_over_all_level_rows(g, level):
+    # the reference eliminates every R1 and R2 row of the level; 𝟙 and longer keys stay in both
+    space = build_level(g, level).space
+    assert isinstance(space, ueg.WordSpace)
+    basis, rows = _level_rows(g, level)
+    reference = RowSpace(rows, track=False)
+    rng = random.Random(level)
+    _assert_same_span(space, reference, basis + ["1"] + _long_keys(g, level + 2, rng), rng)
+
+
+def test_cherry_depths_are_those_of_the_shapes():
+    def cherries(t, depth=0, start=0):
+        if isinstance(t, Leaf):
+            return set()
+        found = {(start, depth)} if isinstance(t.left, Leaf) and isinstance(t.right, Leaf) else set()
+        return (found | cherries(t.left, depth + 1, start)
+                | cherries(t.right, depth + 1, start + len(weights_of(t.left))))
+
+    for n in range(2, 9):
+        found = set().union(*(cherries(shape) for shape in enumerate_shapes(n)))
+        assert found == {(i, p) for i in range(n - 1) for p in ueg._cherry_depths(n, i)}
 
 
 @pytest.mark.parametrize("rows, rank, zeros", [
@@ -495,14 +515,14 @@ def test_level_space_eliminates_one_row_per_line():
     # a ≡ 2b contracts a onto b; the three rest rows r, 2r and −r/3 then project onto one line,
     # while two rows on one support but on different lines are both kept
     r = {"a": 1, "c": 1, "d": 2}
-    rows = [("a", "b", Fraction(2)), LinComb(r), LinComb({"b": 4, "c": 2, "d": 4}),
+    rows = [LinComb({"a": 1, "b": -2}), LinComb(r), LinComb({"b": 4, "c": 2, "d": 4}),
             LinComb({key: Fraction(-1, 3) * c for key, c in r.items()}), LinComb({"c": 1, "e": -1, "x": 3}),
             LinComb({"c": 1, "d": 1, "y": 1}), LinComb({"c": 1, "d": -1, "y": 1})]
     space = ueg.LevelSpace(rows)
     assert space._space.n_inputs == 4
     assert space.rank == 5
     keys = list("abcdexyz")
-    reference = RowSpace((expand_record(row) for row in rows), track=False)
+    reference = RowSpace(rows, track=False)
     _assert_same_span(space, reference, keys, random.Random(3))
 
 
