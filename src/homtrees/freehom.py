@@ -57,10 +57,10 @@ span of the rows is exactly the set of vectors whose coefficients sum
 to zero on every connected component (a path t₀ … t_m gives t₀ − t_m
 as a signed sum of rows; conversely every row sums to zero on the one
 component it touches).  The quotient of a class is thus the free space
-on its components.  linalg.Components finds them by union-find, each
-row an edge of ratio 1, and takes each component's largest key in
+on its components.  ClassComponents finds them by union-find, each row
+an edge between two keys, and takes each component's largest key in
 string order as its representative (the normal form of every key in
-it); ClassComponents adds a breadth-first spanning forest rooted at the
+it); it adds a breadth-first spanning forest rooted at the
 representatives, built by the first membership that comes back
 inside.  An Equal certificate is
 Σ c_k·(forest path from k to its representative), a signed combination
@@ -75,7 +75,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .ambient import Ambient, IndexSearch, identity_op  # noqa: F401 (re-exported for convolve)
-from .linalg import Components, LinComb, Membership, Record
+from .linalg import LinComb, Membership, Record
 from .trees import (
     Leaf,
     Node,
@@ -136,19 +136,40 @@ class ClassComponents:
     """The span of one graded class's relation rows, as components of
     its rewrite graph (see the module docstring).
 
-    linalg.Components joins the basis keys, each row t − t′ an edge of
-    ratio 1, and its projection is reduce; this class adds the
-    breadth-first spanning forest that membership certificates walk.
-    Only a membership that comes back inside reads the forest, so it is
-    built then, the first time, and kept.  The interface is RowSpace's:
-    rank, reduce and membership.
+    A union-find joins the basis keys, each row t − t′ an edge, and makes
+    each component's largest key its root, the representative that
+    reduce puts in place of every key of it.  The breadth-first spanning
+    forest that membership certificates walk is read only by a
+    membership that comes back inside, so it is built then, the first
+    time, and kept.  The interface is RowSpace's: rank, reduce and
+    membership.
     """
 
     def __init__(self, basis: tuple, row_sources: tuple):
         self._basis = basis
         self._row_sources = row_sources
-        self._components = components = Components((source, target, 1) for source, target in row_sources)
-        self.rank = components.rank
+        link: dict = {}  # key -> a key nearer its root; roots are absent
+
+        def find(key):
+            """key's root; path halving relinks every other key on the way to its grandparent."""
+            up = link.get(key)
+            while up is not None:
+                above = link.get(up)
+                if above is None:
+                    return up
+                link[key] = key = above
+                up = link.get(key)
+            return key
+
+        for source, target in row_sources:
+            root1, root2 = find(source), find(target)
+            if root1 != root2:
+                if root1 > root2:
+                    root1, root2 = root2, root1
+                link[root1] = root2
+        # every key that is not a representative -> its representative
+        self._rep = {key: find(key) for key in link}
+        self.rank = len(self._rep)
         self._forest: Optional[dict] = None
 
     def _spanning_forest(self) -> dict:
@@ -158,7 +179,7 @@ class ClassComponents:
             adjacent[source].append((target, index, 1))
             adjacent[target].append((source, index, -1))
         forest: dict = {}
-        for root in (key for key in self._basis if key not in self._components):
+        for root in (key for key in self._basis if key not in self._rep):
             frontier = [root]
             for key in frontier:
                 for other, index, sign in adjacent[key]:
@@ -169,7 +190,22 @@ class ClassComponents:
 
     def reduce(self, v: LinComb) -> LinComb:
         """Replace every key by its representative; keys outside the class stay."""
-        return self._components.project(v)
+        rep = self._rep
+        out: dict = {}
+        for key, coeff in v.terms.items():
+            key = rep.get(key, key)
+            acc = out.get(key)
+            if acc is None:
+                out[key] = coeff
+            else:
+                acc = acc + coeff
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        residual = LinComb()
+        residual.terms = out
+        return residual
 
     def membership(self, v: LinComb) -> Membership:
         residual = self.reduce(v)

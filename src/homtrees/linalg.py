@@ -1,21 +1,19 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything downstream (ideal membership, quotient normal forms, tensor
-reductions) is built on four small exact structures:
+reductions) is built on three small exact structures:
 
 * LinComb      -- finite formal linear combination of basis keys
-* Components   -- the span of binomial rows k₁ − r·k₂, as graph components
 * RowSpace     -- fully reduced row echelon span with membership certificates
 * TruncSeries  -- formal series truncated modulo nu^(order+1)
 
 The two quotients of the tree algebra use them as follows.  𝕋/I has only
-±1 binomial rows: freehom.ClassComponents is Components with ratio 1,
-plus a spanning forest for certificates.  U𝔤 eliminates with RowSpace:
-for an invertible diagonal α, ueg.WordSpace needs no R1 row and
-eliminates the bracket rows in word coordinates; for any other α,
-ueg.LevelSpace contracts a level's two-term rows with Components and
-eliminates the projected rest, both without history.  A certificate,
-when read, eliminates all of a level's rows with history.
+±1 binomial rows, so it needs no elimination: freehom.ClassComponents
+joins each class's keys by a union-find of its own.  U𝔤 eliminates with
+RowSpace without history: for an invertible diagonal α, ueg.WordSpace
+needs no R1 row and eliminates the bracket rows in word coordinates;
+for any other α, one RowSpace takes all of a level's rows.  A
+certificate, when read, eliminates all of a level's rows with history.
 RowSpace also serves the order-p checks of group-like sequences
 (grouplike) and the kernel computations of homlie; over all the rows it
 remains the reference engine of both quotients in the tests.
@@ -339,113 +337,6 @@ def _subtract(terms: dict, coeff, other: dict) -> None:
             terms[key] = acc
         else:
             del terms[key]
-
-
-class Components:
-    """The span B of binomial rows, as the components of a weighted graph.
-
-    An edge (k₁, k₂, r), r a nonzero coefficient, is the row
-    k₁ − r·k₂: k₁ ≡ r·k₂ modulo B.  A union-find with each key's ratio to
-    its parent joins the keys; a component's representative is its
-    largest key, the one free column that elimination with smallest-key
-    pivots leaves, and each key k of it has a ratio r with k ≡ r·rep.  A
-    cycle whose ratios disagree puts the whole component into B.
-
-    project(v) is the projection π onto V/B and the reduced residual of
-    v: k goes to r·rep, or to 0 in a component inside B, and keys that no
-    edge touches stay.  rank is dim B; `key in components` says whether π
-    moves the key.  A ratio of 1 stays the int 1 and is not stored, so a
-    graph of ratio-1 edges needs no Fraction and keeps only the map from
-    key to representative.
-    """
-
-    __slots__ = ("_rep", "_ratio", "rank")
-
-    def __init__(self, edges):
-        link: dict = {}  # key -> (parent key, r) with key ≡ r·parent; roots are absent
-        spanned: set = set()  # roots whose whole component lies in the span
-
-        def find(key):
-            """(root, r) with key ≡ r·root, r None when key is the root; path halving
-            relinks every other key on the way to its grandparent."""
-            hop = link.get(key)
-            if hop is None:
-                return key, None
-            r = None  # the ratio of the first key to the current one, None for 1
-            while True:
-                up, s = hop
-                above = link.get(up)
-                if above is None:
-                    return up, s if r is None else r * s
-                grand, t = above
-                s = s * t
-                link[key] = (grand, s)
-                r = s if r is None else r * s
-                key = grand
-                hop = link.get(key)
-                if hop is None:
-                    return key, r
-
-        for k1, k2, r in edges:
-            root1, r1 = find(k1)
-            root2, r2 = find(k2)
-            # k1 ≡ r·k2 makes root1 ≡ (r·r2/r1)·root2
-            if r2 is not None and r2 != 1:
-                r = r * r2
-            if r1 is not None:
-                r = divide(r, r1)
-            if root1 == root2:
-                if r != 1:
-                    spanned.add(root1)
-                continue
-            if root1 > root2:
-                root1, root2 = root2, root1
-                r = divide(1, r)
-            link[root1] = (root2, r)
-            if root1 in spanned:
-                spanned.discard(root1)
-                spanned.add(root2)
-        # key -> its representative, None in a component inside the span; ratios other than 1 apart
-        self._rep = rep = {root: None for root in spanned}
-        self._ratio = ratio = {}
-        for key in list(link):
-            root, r = find(key)
-            if root in spanned:
-                rep[key] = None
-            else:
-                rep[key] = root
-                if r != 1:
-                    ratio[key] = r
-        self.rank = len(rep)
-
-    def __contains__(self, key) -> bool:
-        return key in self._rep
-
-    def project(self, v: LinComb) -> LinComb:
-        """π(v): every key as its ratio times its representative; untouched keys stay."""
-        rep, ratio = self._rep, self._ratio
-        out: dict = {}
-        for key, coeff in v.terms.items():
-            if key in rep:
-                root = rep[key]
-                if root is None:
-                    continue
-                r = ratio.get(key)
-                if r is not None:
-                    coeff = coeff * r
-                key = root
-            acc = out.get(key)
-            if acc is None:
-                out[key] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        projected = LinComb()
-        projected.terms = out
-        return projected
 
 
 class OrderMismatch(ValueError):

@@ -30,11 +30,10 @@ escalate to escalation_cap, and build no level of more than 8000 basis
 trees (DEFAULT_BASIS_CAP; ResourceLimit beyond it).
 
 A level's span W keeps no history, since verdicts, residuals and normal
-forms need none.  It is held by one of two engines.
-
-WordSpace, when α is diagonal with every entry λᵢ nonzero.  Then R1 is
-plain associativity twisted by α, and its quotient is spanned by leaf
-words in closed form; no R1 row is made.
+forms need none.  When α is diagonal with every entry λᵢ nonzero it is
+held by WordSpace: R1 is then plain associativity twisted by α, and its
+quotient is spanned by leaf words in closed form, so no R1 row is made.
+For any other α, one RowSpace eliminates all of the level's rows.
 
   1. The R1 quotient.  Let φ(t) be the product over t's leaves of
      λ_dec^depth.  An R1 row at (A∨B)∨C is c_C·k₁ − c_A·k₂, c_S the
@@ -56,50 +55,21 @@ words in closed form; no R1 row is made.
      keyed by rc texts.  reduce(v) maps v to word coordinates, reduces
      it, and divides the coefficient at each rc(w) by φ(rc w).
 
-LevelSpace, for every other α.  It reads the level's rows as LinCombs.
+Why WordSpace's residuals are RowSpace's over all the rows.  Elimination
+with smallest-key pivots gives the reduced residual of v: the unique
+vector of v + W supported on the keys that are not pivots of W (a key p
+is a pivot when some vector of W has p as its smallest key).  π(v) − v
+and π(W) both lie in W, since t − π(t) ∈ B ⊆ W, so reduce(v) lies in
+v + W.  Every key of the level that is not a right comb is a pivot of W,
+because t − π(t) ∈ W and t < rc(w).  Every pivot of the second step is a
+right comb and a pivot of W, because π(W) ⊆ W and rescaling each key by
+φ moves no pivot.  These pivots are distinct, and their number is
+dim B + dim π(W) = dim W, so they are all the pivots of W: reduce(v) is
+supported off them, and it is the reduced residual.  For the same reason
+rank is dim B plus the rank of the second step.
 
-  1. Contract the binomial rows.  A two-term row a·k₁ + b·k₂ is the edge
-     k₁ ≡ (−b/a)·k₂; linalg.Components joins the weighted edges into
-     components of the binomial span B: each has its largest key in
-     string order as representative, with k ≡ r·rep for each key k of
-     it, or lies wholly inside B.
-  2. Eliminate the rest.  The projection π onto V/B (Components.project)
-     sends k to r·rep, to 0 in a component inside B, and leaves keys
-     that no binomial touches as they are.  The other rows (one term, or
-     three or more) are projected; a projected row that is a scalar
-     multiple of one already kept is dropped, and the kept rows are
-     eliminated by one RowSpace without history.  reduce(v) is that
-     space's reduction of π(v).
-
-Why the residuals are RowSpace's over all the rows.  Elimination with
-smallest-key pivots gives the reduced residual of v: the unique vector
-of v + W supported on the keys that are not pivots of W (a key p is a
-pivot when some vector of W has p as its smallest key).  π(v) − v and
-π(W) both lie in W, since k − π(k) ∈ B ⊆ W, so reduce(v) lies in v + W.
-Every non-representative key k is a pivot of W, because k − r·rep ∈ W
-and k < rep; so is every key of a component inside B.  Every pivot of
-the projected span is a pivot of W, because π(W) ⊆ W, and is a
-representative or an untouched key.  These pivots are distinct keys,
-and their number is dim B + dim π(W) = dim W, so they are all the
-pivots of W: reduce(v) is supported off them, and it is the reduced
-residual.  For the same reason rank is the number of keys that
-do not represent their component, plus the representatives of the
-components inside B, plus the rank of the second step.  WordSpace's
-second step works in coordinates rescaled per key, which moves no
-pivot: its residual, scaled back, is the same reduced residual.
-
-Why dropping scalar multiples changes nothing.  A dropped row lies in
-the span of the kept rows, so the second step spans the same π(W).  A
-fully reduced echelon basis with smallest-key pivots (pivot coefficient
-1, zero in every other pivot column) is unique for a given span,
-whatever rows it is built from and in whatever order; so the rank, the
-residuals and the normal forms are those of elimination over all the
-projected rows.  Rows are matched by their terms divided by the
-coefficient of their smallest key, which is the same for two rows
-exactly when one is a scalar multiple of the other.
-
-A level context's basis and row_sources, and the certificate of an
-Equal verdict, are worked out when first read: the context then
+A word space's basis and row_sources, and the certificate of any
+level's Equal verdict, are worked out when first read: the context then
 regenerates its rows in build order, and a certificate keeps one
 tracked RowSpace over them, the one a tracked build would have given.
 
@@ -123,7 +93,7 @@ from typing import Callable, Optional
 
 from .ambient import Ambient, OracleInconclusive, ResourceLimit
 from .homlie import HomLieAlgebra, HomLieMorphism, read_element, read_symbol, validate_morphism
-from .linalg import Components, LinComb, Membership, RowSpace, divide, frac
+from .linalg import LinComb, Membership, RowSpace, divide, frac
 from .trees import (
     Leaf,
     Node,
@@ -366,48 +336,6 @@ def _level_trees(table: AlphaTable, level: int):
                 yield text, plan.rows(table, text, texts, weights, indices)
 
 
-class LevelSpace:
-    """The span of one level's LinComb relation rows (see the module docstring).
-
-    Two-term rows are contracted by linalg.Components; the other rows are
-    projected onto the representatives, one per line through the origin,
-    and eliminated by one RowSpace without history.  The interface is
-    RowSpace's without certificates: rank, reduce and membership (verdict
-    and residual).
-    """
-
-    def __init__(self, rows):
-        rest = []
-
-        def edges():
-            for row in rows:
-                terms = row.terms
-                if len(terms) != 2:
-                    rest.append(row)
-                    continue
-                (k1, a), (k2, b) = terms.items()
-                yield k1, k2, divide(-b, a)
-
-        self._components = components = Components(edges())
-        # one row per line through the origin: the rest projected, scaled to 1 at its smallest key
-        lines: dict = {}
-        for row in rest:
-            projected = components.project(row)
-            terms = projected.terms
-            if terms:
-                lead = terms[min(terms)]
-                line = frozenset(terms.items() if lead == 1 else ((k, divide(c, lead)) for k, c in terms.items()))
-                lines.setdefault(line, projected)
-        self._space = RowSpace(lines.values(), track=False)
-        self.rank = components.rank + self._space.rank
-
-    def reduce(self, v: LinComb) -> LinComb:
-        return self._space.reduce(self._components.project(v))
-
-    def membership(self, v: LinComb) -> Membership:
-        return self._space.membership(self._components.project(v))
-
-
 def _cherry_depths(n: int, i: int) -> range:
     """The depths of a node over leaves i and i+1 in the shapes of n leaves.
 
@@ -425,7 +353,8 @@ class WordSpace:
     A key of the level is held in word coordinates, keyed by the text of
     the right comb over its word; the R2 rows in those coordinates are
     eliminated by one RowSpace without history.  The interface is
-    LevelSpace's: rank, reduce and membership.
+    RowSpace's without certificates: rank, reduce and membership (verdict
+    and residual).
     """
 
     def __init__(self, table: AlphaTable, level: int, size: int):
@@ -509,18 +438,18 @@ class WordSpace:
 class LevelContext:
     """Every relation row over basis trees with at most `level` leaves.
 
-    space is the span without history, a WordSpace or a LevelSpace, and
-    reduce and membership verdicts come from it.  basis and row_sources
-    (row i comes from row_sources[i]) are walked on first read, unless the
-    build walked them already.  certificate(p) recombines p from relation
-    rows; its first call regenerates the rows from the basis in build
-    order and keeps one tracked RowSpace over all of them, so each later
-    call is a query.
+    space is the span without history, a WordSpace or a RowSpace with
+    track=False, and reduce and membership verdicts come from it.  basis
+    and row_sources (row i comes from row_sources[i]) are walked on first
+    read, unless the build walked them already.  certificate(p)
+    recombines p from relation rows; its first call regenerates the rows
+    from the basis in build order and keeps one tracked RowSpace over all
+    of them, so each later call is a query.
     """
 
     g: HomLieAlgebra
     level: int
-    space: WordSpace | LevelSpace
+    space: WordSpace | RowSpace
     _layout: Optional[tuple] = field(default=None, repr=False)  # (basis, row_sources)
     _tracked: Optional[RowSpace] = field(default=None, repr=False)
 
@@ -578,7 +507,7 @@ def build_level(g: HomLieAlgebra, level: int) -> LevelContext:
             for row, source in tree_rows:
                 rows.append(row)
                 sources.append(source)
-        ctx = LevelContext(g, level, LevelSpace(rows), (tuple(basis), tuple(sources)))
+        ctx = LevelContext(g, level, RowSpace(rows, track=False), (tuple(basis), tuple(sources)))
     _level_cache[(g, level)] = ctx
     if len(_level_cache) > LEVEL_CACHE_SIZE:
         _level_cache.popitem(last=False)

@@ -1,5 +1,6 @@
-"""A graded class's graph engine with a union-find of its own, kept as the
-reference for freehom.ClassComponents, which runs on linalg.Components.
+"""A graded class's graph engine that builds its union-find and spanning
+forest at once, kept as the reference for freehom.ClassComponents, which
+builds the forest only for a certificate.
 
 ClassComponents(basis, row_sources) joins the keys with path halving,
 makes the largest key of each component its representative and keeps a

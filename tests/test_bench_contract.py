@@ -43,17 +43,19 @@ def test_caches_the_benchmark_empties():
 def test_level_builds_are_counted_by_the_level_cache_size():
     # spans.py counts a build when len(ueg._level_cache) grows and reads basis, row_sources and
     # space.rank of the new context; a ueg-levels round builds 91 contexts between clears
+    # a diagonal α with no zero entry takes the word space, diag(1, 0) the plain RowSpace
     assert ueg.LEVEL_CACHE_SIZE > 91
-    g = make_algebra("contract-levels", ("x", "y"), {(0, 1): (0, 1)}, ((1, 0), (0, 2)))
     ueg._level_cache.clear()
-    for level in (2, 3, 4):
-        before = len(ueg._level_cache)
-        ctx = ueg.build_level(g, level)
-        assert len(ueg._level_cache) == before + 1
-        assert isinstance(ctx.basis, tuple) and all(isinstance(key, str) for key in ctx.basis)
-        assert isinstance(ctx.row_sources, tuple) and len(ctx.row_sources) >= ctx.space.rank > 0
-        assert ueg.build_level(g, level) is ctx
-        assert len(ueg._level_cache) == before + 1
+    for alpha in (((1, 0), (0, 2)), ((1, 0), (0, 0))):
+        g = make_algebra("contract-levels", ("x", "y"), {(0, 1): (0, 1)}, alpha)
+        for level in (2, 3, 4):
+            before = len(ueg._level_cache)
+            ctx = ueg.build_level(g, level)
+            assert len(ueg._level_cache) == before + 1
+            assert isinstance(ctx.basis, tuple) and all(isinstance(key, str) for key in ctx.basis)
+            assert isinstance(ctx.row_sources, tuple) and len(ctx.row_sources) >= ctx.space.rank > 0
+            assert ueg.build_level(g, level) is ctx
+            assert len(ueg._level_cache) == before + 1
 
 
 def test_class_builds_are_counted_by_cache_misses():

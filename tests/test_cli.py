@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ import time
 import pytest
 
 import homtrees
-from homtrees import cli, suites
+from homtrees import cli, suites, ueg
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SL2 = os.path.join(DATA, "sl2_twisted.json")
@@ -429,6 +431,165 @@ def test_a_malformed_sequence_file_is_a_usage_error(capsys, tmp_path, sequence):
     path = tmp_path / "sequence.json"
     path.write_text(json.dumps(sequence))
     assert_one_error_line(*run(capsys, "grouplike-check", "--file", str(path)))
+
+
+# ------------------------------------------------------------ seeded fuzz
+
+# the algebras the fuzz mutates: α invertible diagonal (the word space), with a
+# zero entry, or not diagonal (one RowSpace over all of a level's rows)
+FUZZ_ALGEBRAS = [
+    {"name": "line0", "basis": ["x"], "alpha": [["0"]]},
+    {"name": "line2", "basis": ["x"], "bracket": {}, "alpha": [["2"]]},
+    {"name": "aff2", "basis": ["x", "y"], "bracket": {"x,y": {"y": "1"}}, "alpha": [["1", "0"], ["0", "1"]]},
+    {"name": "aff2-kills-y", "basis": ["x", "y"], "bracket": {"x,y": {"y": "1"}}, "alpha": [["1", "0"], ["0", "0"]]},
+    {"name": "aff2-mixing", "basis": ["x", "y"], "bracket": {"x,y": {"y": "1"}}, "alpha": [["1", "1"], ["0", "1"]]},
+    {"name": "ab2-shift", "basis": ["x", "y"], "alpha": [[0, 1], [0, 0]]},
+]
+FUZZ_JUNK = [None, 0, 1, -1, 1.5, True, "", "x", "1/0", [], {}, [[]], ["x"], ["x", "x"], {"x,y": {"y": "1"}},
+             {"x,y": []}, [["1"]], [["1", "0"], ["0", "1"]], [["1", "0"]], "1/2"]
+FUZZ_ENTRIES = ["0", "1", "-1", "1/2", "2", "x", "1/0", "", 0, 1, 1.5, True, None, [], "3/0"]
+FUZZ_BRACKET_KEYS = ["x,y", "y,x", "x,x", "x,z", "0,1", "1,0", "0,5", "x", "x,y,z", " x , y ", ""]
+FUZZ_TOKENS = ["(", ")", " ", "0", "1", "2", "01", " + ", " - ", "*", "2*", "1/2*", "-", "x", "0:x", ":", "/",
+               "1/0*", "((", "))", "", "1:y", "0:(x + y)", "  ", "7"]
+FUZZ_SCALARS = ["1", "-1/2", "0", "3/4", "0.5", "+2"] * 2 + ["1/0", "x", "", "-", "1e2"]
+FUZZ_ELEMENTS = ["x", "y", "x + y", "2*x", "-y", "1/2*x - y"] * 2 + ["z", "", "(x", "0"]
+
+
+def _fuzz_tree(rng, n, leaf):
+    if n == 1:
+        return leaf(rng)
+    k = rng.randint(1, n - 1)
+    return "(%s %s)" % (_fuzz_tree(rng, k, leaf), _fuzz_tree(rng, n - k, leaf))
+
+
+def _fuzz_expr(rng, leaf, most):
+    """A ±-sum of up to three trees of at most `most` leaves, then mutated, or a token string."""
+    if rng.random() < 0.15:
+        return "".join(rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(0, 10)))
+    text = rng.choice(("", "1 + ", "2*", "-")) + _fuzz_tree(rng, rng.randint(1, most), leaf)
+    for _ in range(rng.randint(0, 2)):
+        text += rng.choice((" + ", " - ")) + rng.choice(("", "2*", "1/2*", "-3*")) + \
+            _fuzz_tree(rng, rng.randint(1, most), leaf)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randint(0, len(text))
+        cut = rng.randrange(3)  # delete, insert or replace one character
+        text = text[:i] + ("" if cut == 0 else rng.choice(FUZZ_TOKENS)) + text[i + (cut != 1):]
+    return text
+
+
+def _fuzz_free_argv(rng):
+    def expr():
+        return _fuzz_expr(rng, lambda rng: rng.choice("0012"), 4)
+
+    command = rng.choice(["nf", "equal", "coproduct", "antipode", "antipode-index", "exp"])
+    if command == "equal":
+        lhs, rhs = rng.choice([(expr(), expr())] * 2 + [("((0 0) 1)", "(1 (0 0))"), ("(((0 1) 0) 2)", "((1 (1 0)) 1)")])
+        return ["equal", "--lhs", lhs, "--rhs", rng.choice([rhs, lhs])]
+    if command == "antipode-index":
+        return ["antipode-index", "--expr", expr(), "--max-k", rng.choice(["0", "1", "2", "3", "-1", "x"])]
+    if command == "exp":
+        return ["exp", "--scalar", rng.choice(FUZZ_SCALARS), "--order", rng.choice(["0", "1", "2", "3", "-1", "x"])]
+    return [command, "--expr", expr()]
+
+
+def _fuzz_algebra(rng, algebra):
+    """A copy of the algebra with one field replaced by junk, dropped or broken inside."""
+    data = json.loads(json.dumps(algebra))
+    field = rng.choice(["name", "basis", "bracket", "alpha", "extra"])
+    change = rng.randrange(3)
+    if change == 0:
+        data[field] = rng.choice(FUZZ_JUNK)
+    elif change == 1:
+        data.pop(field, None)
+    elif field == "alpha":
+        row = rng.choice(data["alpha"])
+        row[rng.randrange(len(row))] = rng.choice(FUZZ_ENTRIES)
+    elif field == "bracket":
+        value = data.pop("bracket", {}).get("x,y", {"y": "1"})
+        data["bracket"] = {rng.choice(FUZZ_BRACKET_KEYS): rng.choice([value, rng.choice(FUZZ_JUNK), {"z": "1"},
+                                                                      {"x": "1/0"}])}
+    elif field == "basis":
+        data["basis"] = rng.choice([data["basis"] + ["z"], data["basis"][:-1], ["1x"] + data["basis"][1:], ["x", "x"]])
+    return data
+
+
+def _fuzz_algebra_argv(rng, write):
+    base = rng.choice(FUZZ_ALGEBRAS)
+    names = base["basis"] + ["z"] if rng.random() < 0.1 else base["basis"]
+
+    def expr():
+        return _fuzz_expr(rng, lambda rng: "%d:%s" % (rng.choice((0, 0, 1)), rng.choice(names)), 2)
+
+    mutated = rng.random() < 0.5
+    algebra = _fuzz_algebra(rng, base) if mutated else base
+    text = json.dumps(algebra)
+    if rng.random() < 0.05:
+        text = text[:rng.randrange(len(text))]
+    path = write(text)
+    command = rng.choice(["validate", "equal", "exp", "grouplike-check"])
+    if command == "validate":
+        return ["validate", path]
+    if command == "equal":
+        # escalating to level 6 is cheap only over one basis element
+        level = [] if len(base["basis"]) == 1 and not mutated else ["--level", rng.choice(["1", "2", "3", "3", "0", "x"])]
+        lhs = expr()
+        return ["equal", "--algebra", path, "--lhs", lhs, "--rhs", rng.choice([expr(), lhs])] + level
+    if command == "exp":
+        return ["exp", "--scalar", rng.choice(FUZZ_SCALARS), "--order", rng.choice(["0", "1", "2", "2", "-1"]),
+                "--algebra", path, "--element", rng.choice(FUZZ_ELEMENTS)]
+    orders = [["1"]] + [["1"] + [expr() for _ in range(p)] for p in range(1, rng.randint(1, 3))]
+    sequence = {"bound": rng.choice([0, 0, 1, -1, True, "0"]), "orders": orders}
+    if rng.random() < 0.8:
+        sequence["algebra"] = algebra
+    return ["grouplike-check", "--file", write(json.dumps(sequence))]
+
+
+class CallTimedOut(BaseException):
+    """A fuzz call outlived its time bound (a BaseException, so cli.run does not catch it)."""
+
+
+def _time_out(signum, frame):
+    raise CallTimedOut()
+
+
+FUZZ_SEED = 2025
+FUZZ_CALLS = 400
+FUZZ_CALL_SECONDS = 10
+
+
+def test_seeded_fuzz_keeps_the_exit_code_contract(capsys, tmp_path):
+    # every call exits 0-3 with no traceback; a handler's exit 2 prints one error line and an
+    # exit 3 one inconclusive line, or its report on stdout (argparse's exit 2 prints its usage)
+    ueg._level_cache.clear()
+    rng = random.Random(FUZZ_SEED)
+    files = []
+
+    def write(text):
+        files.append(tmp_path / ("input%d.json" % len(files)))
+        files[-1].write_text(text, encoding="utf-8")
+        return str(files[-1])
+
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    try:
+        for _ in range(FUZZ_CALLS):
+            argv = _fuzz_free_argv(rng) if rng.random() < 0.5 else _fuzz_algebra_argv(rng, write)
+            if rng.random() < 0.3:
+                argv = ["--machine"] + argv
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_CALL_SECONDS)
+            try:
+                code, out, err = run(capsys, *argv)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err, argv
+            if code == 2 and not err.startswith("usage:"):
+                assert out == "" and err.startswith(("error:", "parse error:")) and err.count("\n") == 1, (argv, err)
+            if code == 3 and err:
+                assert err.startswith("inconclusive:") and err.count("\n") == 1, (argv, err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    # the levels asked for were held by both engines
+    assert {type(ctx.space).__name__ for ctx in ueg._level_cache.values()} == {"WordSpace", "RowSpace"}
 
 
 def test_verify_trees_suite(capsys):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from homtrees.linalg import (
-    Components,
     LinComb,
     OrderMismatch,
     RowSpace,
@@ -260,61 +259,6 @@ def test_column_index_matches_a_full_scan(track):
             else:
                 assert answer.certificate is None
                 assert list(answer.residual.terms.items()) == list(residual.terms.items())
-
-
-def _binomial_system(rng, kind):
-    """Keys and weighted edges (k₁, k₂, r), k₁ ≡ r·k₂, of one seeded kind."""
-    keys = ["k%02d" % i for i in range(rng.randint(2, 24))]
-    ratios = (Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(-3, 2), Fraction(1))
-    if kind == "ones":  # a ratio-1 graph, as freehom's classes give
-        return keys, [(rng.choice(keys), rng.choice(keys), 1) for _ in range(rng.randint(1, 2 * len(keys)))]
-    if kind == "chain":  # one path, its keys in seeded order
-        order = rng.sample(keys, len(keys))
-        return keys, [(a, b, rng.choice(ratios)) for a, b in zip(order, order[1:])]
-    # components whose ratios agree (k ≡ (w_k/w_l)·l, a ratio of 1 given as the int 1), some
-    # closed by a cycle whose ratios disagree, then merged into one another by consistent edges
-    weight = {key: rng.choice(ratios) for key in keys}
-    edges = []
-    for _ in range(rng.randint(1, 2 * len(keys))):
-        a, b = rng.sample(keys, 2)
-        r = weight[a] / weight[b]
-        edges.append((a, b, 1 if r == 1 else r))
-    for _ in range(rng.randint(0, 2)):
-        a, b = rng.sample(keys, 2)
-        edges.append((a, b, 2 * weight[a] / weight[b]))
-    rng.shuffle(edges)
-    return keys, edges
-
-
-@pytest.mark.parametrize("kind", ["ones", "chain", "cycles"])
-def test_components_match_row_space_on_weighted_binomials(kind):
-    rng = random.Random(len(kind))
-    for trial in range(60):
-        keys, edges = _binomial_system(rng, kind)
-        space = Components(edges)
-        reference = RowSpace((LinComb([(a, 1), (b, -r)]) for a, b, r in edges), track=False)
-        assert space.rank == reference.rank
-        assert all(r.__class__ in (int, Fraction) for r in space._ratio.values())
-        if kind == "ones":
-            assert not space._ratio  # every ratio is 1: no Fraction is made
-        queries = [LinComb.single(key) for key in keys]
-        queries += [LinComb((rng.choice(keys), rng.choice((1, -2, Fraction(3, 4)))) for _ in range(3))
-                    for _ in range(10)]
-        for v in queries:
-            projected = space.project(v)
-            assert projected == reference.reduce(v)
-            assert all(c.__class__ in (int, Fraction) for c in projected.terms.values())
-        for key in keys:
-            assert (key in space) == (key in reference.pivots())
-
-
-def test_components_keep_a_ratio_of_one_an_int():
-    # a ≡ b, then a ≡ c divides by the ratio 1 of a (1/1 would be the float 1.0), and d ≡ 2a
-    # carries that ratio into every key of the component
-    space = Components([("a", "b", 1), ("a", "c", 1), ("d", "a", Fraction(2))])
-    assert space._ratio == {key: Fraction(1, 2) for key in "abc"}
-    assert all(r.__class__ in (int, Fraction) for r in space._ratio.values())
-    assert space.project(LinComb({"b": 4, "x": 1})).terms == {"d": Fraction(2), "x": Fraction(1)}
 
 
 def test_trunc_series_basics():

@@ -406,7 +406,7 @@ def test_certificates_are_built_on_demand(monkeypatch):
             assert builds == [False, True]
 
 
-# RowSpace over the same rows is the reference engine for LevelSpace
+# RowSpace over the same rows is the reference engine for every level space
 
 
 def _assert_same_span(space, reference, keys, rng):
@@ -441,22 +441,25 @@ def _long_keys(g, n, rng, count=3):
     (aff2(((1, 0), (0, -1))), 5, ueg.WordSpace),
     (aff2(((1, 0), (0, Fraction(2, 3)))), 5, ueg.WordSpace),
     (aff2(((1, 0), (0, 3))), 5, ueg.WordSpace),
-    (aff2(((0, 0), (0, 0))), 5, ueg.LevelSpace),
-    (aff2(((1, 0), (0, 0))), 5, ueg.LevelSpace),
-    (aff2(((1, 1), (0, 1))), 4, ueg.LevelSpace),
+    (aff2(((0, 0), (0, 0))), 5, RowSpace),
+    (aff2(((1, 0), (0, 0))), 5, RowSpace),
+    (aff2(((1, 1), (0, 1))), 4, RowSpace),
     (load_algebra(SL2_JSON), 4, ueg.WordSpace),
-    (sl2_chevalley(), 4, ueg.LevelSpace),
-    (abelian(2, alpha=((0, 1), (0, 0))), 5, ueg.LevelSpace),
+    (sl2_chevalley(), 4, RowSpace),
+    (abelian(2, alpha=((0, 1), (0, 0))), 5, RowSpace),
 ], ids=["aff2-id", "aff2-minus1", "aff2-2/3", "aff2-3", "aff2-alpha0", "aff2-kills-y", "aff2-mixing",
         "sl2-twisted", "sl2-chevalley", "ab2-shift"])
 def test_level_space_matches_row_space_on_level_rows(g, level, engine):
-    # the level space over the rows of a level walk, for every α; a level build takes the
-    # word space only when α is diagonal with no zero entry
-    assert type(build_level(g, level).space) is engine
+    # a level build takes the word space exactly when α is diagonal with no zero entry, and
+    # eliminates all of the level's rows without history otherwise
+    invertible_diagonal = all(bool(g.alpha[i][j]) == (i == j) for i in range(g.dim) for j in range(g.dim))
+    assert engine is (ueg.WordSpace if invertible_diagonal else RowSpace)
+    space = build_level(g, level).space
+    assert type(space) is engine
     basis, rows = _level_rows(g, level)
     reference = RowSpace(rows, track=False)
     rng = random.Random(level)
-    _assert_same_span(ueg.LevelSpace(rows), reference, basis + ["1"] + _long_keys(g, level + 2, rng), rng)
+    _assert_same_span(space, reference, basis + ["1"] + _long_keys(g, level + 2, rng), rng)
 
 
 @pytest.mark.parametrize("g, level", [
@@ -489,41 +492,6 @@ def test_cherry_depths_are_those_of_the_shapes():
     for n in range(2, 9):
         found = set().union(*(cherries(shape) for shape in enumerate_shapes(n)))
         assert found == {(i, p) for i in range(n - 1) for p in ueg._cherry_depths(n, i)}
-
-
-@pytest.mark.parametrize("rows, rank, zeros", [
-    # a − 2b and b − a close a cycle whose product is 2: both keys lie in the span
-    ([{"a": 1, "b": -2}, {"b": 1, "a": -1}], 2, "ab"),
-    # a − 2b, b − 3c, a − 6c agree: c represents all three
-    ([{"a": 1, "b": -2}, {"b": 1, "c": -3}, {"c": 6, "a": -1}], 2, ""),
-    # an inconsistent cycle, then merged with a consistent pair: all five lie in the span
-    ([{"d": 1, "e": 1}, {"a": 1, "b": Fraction(1, 2)}, {"b": 2, "c": -1}, {"c": 1, "a": 1},
-      {"b": 3, "d": -1}], 5, "abcde"),
-    # a monomial row, a three-term row over contracted keys, keys no row touches
-    ([{"c": 5}, {"a": 2, "b": -1}, {"a": 1, "b": 1, "d": 1}], 3, "c"),
-])
-def test_level_space_matches_row_space_on_synthetic_rows(rows, rank, zeros):
-    rows = [LinComb(row) for row in rows]
-    space = ueg.LevelSpace(rows)
-    keys = list("abcdexyz")
-    assert space.rank == rank
-    assert [key for key in keys if not space.reduce(LinComb.single(key))] == list(zeros)
-    _assert_same_span(space, RowSpace(rows, track=False), keys, random.Random(rank))
-
-
-def test_level_space_eliminates_one_row_per_line():
-    # a ≡ 2b contracts a onto b; the three rest rows r, 2r and −r/3 then project onto one line,
-    # while two rows on one support but on different lines are both kept
-    r = {"a": 1, "c": 1, "d": 2}
-    rows = [LinComb({"a": 1, "b": -2}), LinComb(r), LinComb({"b": 4, "c": 2, "d": 4}),
-            LinComb({key: Fraction(-1, 3) * c for key, c in r.items()}), LinComb({"c": 1, "e": -1, "x": 3}),
-            LinComb({"c": 1, "d": 1, "y": 1}), LinComb({"c": 1, "d": -1, "y": 1})]
-    space = ueg.LevelSpace(rows)
-    assert space._space.n_inputs == 4
-    assert space.rank == 5
-    keys = list("abcdexyz")
-    reference = RowSpace(rows, track=False)
-    _assert_same_span(space, reference, keys, random.Random(3))
 
 
 def test_the_level_cache_keeps_the_most_recently_used_contexts():
