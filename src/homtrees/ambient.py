@@ -27,9 +27,9 @@ pairs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .linalg import LinComb, Record, TruncSeries
+from .linalg import LinComb, TruncSeries
 from .trees import alpha_shift, graft, is_unit, leaf_count, mirror, parse, splits, to_text
 
 
@@ -59,20 +59,16 @@ def identity_op(p: LinComb) -> LinComb:
     return p
 
 
-class IndexSearch(Record):
+class IndexSearch(NamedTuple):
     """Result of the invertibility-index search.
 
     level is the proof level of a leveled ambient (U𝔤), None for 𝕋/I.
     """
 
-    __slots__ = ("found", "index", "searched_up_to", "level")
-
-    def __init__(self, found: bool, index: Optional[int], searched_up_to: int,
-                 level: Optional[int] = None):
-        self.found = found
-        self.index = index
-        self.searched_up_to = searched_up_to
-        self.level = level
+    found: bool
+    index: Optional[int]
+    searched_up_to: int
+    level: Optional[int] = None
 
     # grouplike-check prints this repr as the clause-c detail, so a 𝕋/I
     # search shows no level field

@@ -10,7 +10,8 @@ A call loads only the modules its command uses.  trees and freehom (with
 ambient and linalg) are imported here; grouplike, homlie, suites and ueg
 are registered lazily, so each body runs on its first attribute use.
 The free-side commands (nf, coproduct, antipode, antipode-index, equal
-without --algebra) therefore never run them, nor import dataclasses.
+without --algebra) therefore never run them.  Every result record is a
+typing.NamedTuple, so no command loads inspect or what it imports.
 """
 
 from __future__ import annotations

@@ -72,10 +72,10 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .ambient import Ambient, IndexSearch, identity_op  # noqa: F401 (re-exported for convolve)
-from .linalg import LinComb, Membership, Record
+from .linalg import LinComb, Membership
 from .trees import (
     Leaf,
     Node,
@@ -222,22 +222,18 @@ class ClassComponents:
         return Membership(True, LinComb(certificate), None)
 
 
-class GradedClassContext(Record):
+class GradedClassContext(NamedTuple):
     """Everything needed to decide equality within one graded class.
 
     row_sources holds (tree text, rewritten text) per relation row, in
     input order.
     """
 
-    __slots__ = ("n", "signature", "basis", "row_sources", "space")
-
-    def __init__(self, n: int, signature: tuple, basis: tuple, row_sources: tuple,
-                 space: ClassComponents):
-        self.n = n
-        self.signature = signature
-        self.basis = basis
-        self.row_sources = row_sources
-        self.space = space
+    n: int
+    signature: tuple
+    basis: tuple
+    row_sources: tuple
+    space: ClassComponents
 
 
 def _leaf_piece(weight: int) -> tuple:
@@ -318,7 +314,7 @@ def normal_form(p: TreePoly) -> TreePoly:
     return LinComb((nkey, coeff * c) for key, coeff in p.items() for nkey, c in _nf_key(key).items())
 
 
-class TreeEquality(Record):
+class TreeEquality(NamedTuple):
     """Verdict of the quotient oracle.
 
     When equal, certificates maps each graded class of the difference to
@@ -328,14 +324,10 @@ class TreeEquality(Record):
     the difference falls outside the relation span.
     """
 
-    __slots__ = ("equal", "certificates", "witness_class", "residual")
-
-    def __init__(self, equal: bool, certificates: Optional[dict] = None,
-                 witness_class: Optional[tuple] = None, residual: Optional[LinComb] = None):
-        self.equal = equal
-        self.certificates = certificates
-        self.witness_class = witness_class
-        self.residual = residual
+    equal: bool
+    certificates: Optional[dict] = None
+    witness_class: Optional[tuple] = None
+    residual: Optional[LinComb] = None
 
 
 def equal_mod_I(a: TreePoly, b: TreePoly) -> TreeEquality:

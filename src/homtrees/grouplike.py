@@ -20,9 +20,8 @@ in scope is per-order, so a finite prefix is the whole story.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ambient import OracleInconclusive
 from .freehom import FREE, class_of
@@ -38,8 +37,7 @@ def __getattr__(name):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-@dataclass
-class SeriesElement:
+class SeriesElement(NamedTuple):
     """A truncated ν-series of quotient elements with its ambient handle."""
 
     ambient: object
@@ -50,8 +48,7 @@ class SeriesElement:
         return self.series.order
 
 
-@dataclass
-class GroupLikeResult:
+class GroupLikeResult(NamedTuple):
     yes: bool
     order: Optional[int] = None
     check: Optional[str] = None  # "counit" | "coproduct"
@@ -80,29 +77,32 @@ def is_grouplike_order_p(elem: SeriesElement, p: int) -> GroupLikeResult:
     return GroupLikeResult(True)
 
 
-@dataclass
-class GroupLikeSequence:
-    """Prefix g_0..g_P, the invertibility bound, and the truncation cap."""
-
+class _Sequence(NamedTuple):
     ambient: object
     terms: tuple  # terms[p] is a TruncSeries of order exactly p
     bound: int
     cap: int
 
-    def __post_init__(self):
-        if len(self.terms) != self.cap + 1:
-            raise ValueError("expected %d series, got %d" % (self.cap + 1, len(self.terms)))
-        for p, series in enumerate(self.terms):
+
+class GroupLikeSequence(_Sequence):
+    """Prefix g_0..g_P, the invertibility bound, and the truncation cap."""
+
+    __slots__ = ()
+
+    def __new__(cls, ambient: object, terms: tuple, bound: int, cap: int):
+        if len(terms) != cap + 1:
+            raise ValueError("expected %d series, got %d" % (cap + 1, len(terms)))
+        for p, series in enumerate(terms):
             if series.order != p:
                 raise ValueError("series %d truncated at order %d, want %d"
                                  % (p, series.order, p))
+        return super().__new__(cls, ambient, terms, bound, cap)
 
     def element(self, p: int) -> SeriesElement:
         return SeriesElement(self.ambient, self.terms[p])
 
 
-@dataclass
-class SequenceValidation:
+class SequenceValidation(NamedTuple):
     ok: bool
     clause: Optional[str] = None  # "a" | "b" | "c"
     index: Optional[int] = None
@@ -218,8 +218,7 @@ def _interleavings(left: tuple, right: tuple):
         yield (right[0],) + rest
 
 
-@dataclass
-class Order2Completion:
+class Order2Completion(NamedTuple):
     feasible: bool
     completion: Optional[LinComb] = None
     candidate_classes: tuple = ()

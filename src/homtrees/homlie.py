@@ -21,9 +21,8 @@ parse_element and, inside a U𝔤 decoration, by read_element.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .linalg import LinComb, RowSpace, frac
 from .trees import Reader
@@ -39,8 +38,7 @@ class NotEndomorphism(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class HomLieAlgebra:
+class HomLieAlgebra(NamedTuple):
     name: str
     basis: tuple          # basis symbols
     brackets: tuple       # brackets[i][j] = coords of [e_i, e_j], full skew table
@@ -121,8 +119,7 @@ def make_algebra(name: str, basis: Sequence[str], brackets_upper: dict, alpha_ro
     return HomLieAlgebra(name, names, tuple(tuple(r) for r in table), rows)
 
 
-@dataclass
-class Validation:
+class Validation(NamedTuple):
     ok: bool
     law: Optional[str] = None
     witness: Optional[tuple] = None
@@ -185,8 +182,7 @@ def twist(g: HomLieAlgebra, alpha_rows: Sequence[Sequence], name: Optional[str] 
     return HomLieAlgebra(candidate.name, g.basis, table, rows)
 
 
-@dataclass(frozen=True)
-class HomLieMorphism:
+class HomLieMorphism(NamedTuple):
     source: HomLieAlgebra
     target: HomLieAlgebra
     matrix: tuple  # matrix[i] = coords of ψ(e_i) in the target basis

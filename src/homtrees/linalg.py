@@ -33,7 +33,7 @@ coordinates for plain vectors).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 
 def frac(x) -> int | Fraction:
@@ -178,30 +178,7 @@ def _sort_token(key):
     return repr(key)
 
 
-class Record:
-    """A plain mutable record whose fields are its __slots__, in order.
-
-    Equality compares the fields of two records of one class, and repr
-    lists them as a dataclass would; the modules every CLI call loads
-    use it so that they do not import dataclasses.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
-
-
-class Membership(Record):
+class Membership(NamedTuple):
     """Answer of a row-space membership query.
 
     When inside, certificate is a LinComb over *input row indices* whose
@@ -209,12 +186,9 @@ class Membership(Record):
     fully reduced nonzero remainder.
     """
 
-    __slots__ = ("inside", "certificate", "residual")
-
-    def __init__(self, inside: bool, certificate: LinComb | None, residual: LinComb | None):
-        self.inside = inside
-        self.certificate = certificate
-        self.residual = residual
+    inside: bool
+    certificate: LinComb | None
+    residual: LinComb | None
 
 
 class RowSpace:

@@ -8,12 +8,10 @@ so every suite runs exactly, at desk scale, with deterministic seeds.
 
 from __future__ import annotations
 
-import inspect
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import freehom
 from . import ueg
@@ -51,16 +49,14 @@ CATALAN = (1, 1, 2, 5, 14, 42, 132, 429)
 DEEP_COUNTEREXAMPLE = "((0 ((0 0) 0)) ((0 0) (0 0)))"
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     witness: Optional[str] = None
     inconclusive: bool = False
 
 
-@dataclass
-class CriterionReport:
+class CriterionReport(NamedTuple):
     number: int
     title: str
     checks: tuple
@@ -769,7 +765,8 @@ SUITES["all"] = tuple(n for name in ("trees", "freehom", "grouplike", "ueg")
 def run_criterion(number: int, escalation_cap: Optional[int] = None) -> CriterionReport:
     title, fn = CRITERIA[number]
     kwargs = {}
-    if escalation_cap is not None and "escalation_cap" in inspect.signature(fn).parameters:
+    # a criterion that escalates takes escalation_cap as its one parameter
+    if escalation_cap is not None and fn.__code__.co_argcount:
         kwargs["escalation_cap"] = escalation_cap
     try:
         checks = fn(**kwargs)

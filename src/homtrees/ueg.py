@@ -68,8 +68,8 @@ dim B + dim π(W) = dim W, so they are all the pivots of W: reduce(v) is
 supported off them, and it is the reduced residual.  For the same reason
 rank is dim B plus the rank of the second step.
 
-A word space's basis and row_sources, and the certificate of any
-level's Equal verdict, are worked out when first read: the context then
+A level's basis and row_sources, and the certificate of any of its
+Equal verdicts, are worked out when first read: the context then
 regenerates its rows in build order, and a certificate keeps one
 tracked RowSpace over them, the one a tracked build would have given.
 
@@ -85,8 +85,7 @@ product of the moved leaves' coefficients times k₂, in that key order.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import comb
 from typing import Callable, Optional
@@ -434,24 +433,25 @@ class WordSpace:
         return Membership(True, None, None)
 
 
-@dataclass(eq=False)
 class LevelContext:
     """Every relation row over basis trees with at most `level` leaves.
 
     space is the span without history, a WordSpace or a RowSpace with
     track=False, and reduce and membership verdicts come from it.  basis
     and row_sources (row i comes from row_sources[i]) are walked on first
-    read, unless the build walked them already.  certificate(p)
-    recombines p from relation rows; its first call regenerates the rows
-    from the basis in build order and keeps one tracked RowSpace over all
-    of them, so each later call is a query.
+    read.  certificate(p) recombines p from relation rows; its first call
+    regenerates the rows from the basis in build order and keeps one
+    tracked RowSpace over all of them, so each later call is a query.
     """
 
-    g: HomLieAlgebra
-    level: int
-    space: WordSpace | RowSpace
-    _layout: Optional[tuple] = field(default=None, repr=False)  # (basis, row_sources)
-    _tracked: Optional[RowSpace] = field(default=None, repr=False)
+    __slots__ = ("g", "level", "space", "_layout", "_tracked")
+
+    def __init__(self, g: HomLieAlgebra, level: int, space: WordSpace | RowSpace):
+        self.g = g
+        self.level = level
+        self.space = space
+        self._layout: Optional[tuple] = None  # (basis, row_sources)
+        self._tracked: Optional[RowSpace] = None
 
     def _walk(self) -> tuple:
         if self._layout is None:
@@ -499,41 +499,39 @@ def build_level(g: HomLieAlgebra, level: int) -> LevelContext:
         )
     table = alpha_table(g)
     if table.diagonal and all(table.power(1)):
-        ctx = LevelContext(g, level, WordSpace(table, level, size))
+        space = WordSpace(table, level, size)
     else:
-        basis, rows, sources = [], [], []
-        for text, tree_rows in _level_trees(table, level):
-            basis.append(text)
-            for row, source in tree_rows:
-                rows.append(row)
-                sources.append(source)
-        ctx = LevelContext(g, level, RowSpace(rows, track=False), (tuple(basis), tuple(sources)))
-    _level_cache[(g, level)] = ctx
+        space = RowSpace((row for _, rows in _level_trees(table, level) for row, _ in rows), track=False)
+    ctx = _level_cache[(g, level)] = LevelContext(g, level, space)
     if len(_level_cache) > LEVEL_CACHE_SIZE:
         _level_cache.popitem(last=False)
     return ctx
 
 
-@dataclass
 class UEquality:
     """Level-stamped verdict: Equal is a proof, the negative is bounded.
 
     An Equal verdict's certificate, the difference as a LinComb over the
-    level context's row_sources indices, is worked out on first read;
-    a NotProvable verdict has none and keeps its residual.
+    level context's row_sources indices, is worked out on first read and
+    kept; a NotProvable verdict has none and keeps its residual.
     """
 
-    equal: bool
-    level: int
-    residual: Optional[LinComb] = None
-    context: Optional[LevelContext] = field(default=None, repr=False, compare=False)
-    difference: Optional[UPoly] = field(default=None, repr=False, compare=False)
+    __slots__ = ("equal", "level", "residual", "context", "difference", "_certificate")
 
-    @cached_property
+    def __init__(self, equal: bool, level: int, residual: Optional[LinComb] = None,
+                 context: Optional[LevelContext] = None, difference: Optional[UPoly] = None):
+        self.equal = equal
+        self.level = level
+        self.residual = residual
+        self.context = context
+        self.difference = difference
+        self._certificate: Optional[LinComb] = None
+
+    @property
     def certificate(self) -> Optional[LinComb]:
-        if not self.equal:
-            return None
-        return self.context.certificate(self.difference)
+        if self._certificate is None and self.equal:
+            self._certificate = self.context.certificate(self.difference)
+        return self._certificate
 
 
 def max_leaves(p: UPoly) -> int:

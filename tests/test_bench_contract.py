@@ -8,8 +8,9 @@ expose basis, row_sources and space.rank.  bench/cli_child.py imports the
 CLI and at once has spans.py look its modules up in sys.modules, and
 bench/uenv.py reads grouplike.UEAmbient.  spans.py wraps every function
 in its FUNCTIONS list, called or not, and uenv.py calls the U𝔤 oracle
-with fixed arguments.  A refactor that breaks one of these breaks the
-benchmark, so each is pinned here.
+with fixed arguments.  The result records it reads are NamedTuples,
+built and read by field position as well as by name.  A refactor that
+breaks one of these breaks the benchmark, so each is pinned here.
 """
 
 import inspect
@@ -21,9 +22,9 @@ import sys
 import pytest
 
 import homtrees
-from homtrees import freehom, grouplike, trees, ueg
+from homtrees import ambient, freehom, grouplike, homlie, linalg, suites, trees, ueg
 from homtrees.homlie import make_algebra
-from homtrees.linalg import LinComb
+from homtrees.linalg import LinComb, TruncSeries
 from tree_path import rewrites
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -140,3 +141,44 @@ print(json.dumps([[m, a] for m, a, _ in spans.FUNCTIONS if not hasattr(sys.modul
 ])
 def test_the_calls_bench_uenv_makes_bind(fn, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+# each record with its fields in order and its defaults
+RECORDS = [
+    (linalg.Membership, ("inside", "certificate", "residual"), {}),
+    (ambient.IndexSearch, ("found", "index", "searched_up_to", "level"), {"level": None}),
+    (freehom.GradedClassContext, ("n", "signature", "basis", "row_sources", "space"), {}),
+    (freehom.TreeEquality, ("equal", "certificates", "witness_class", "residual"),
+     {"certificates": None, "witness_class": None, "residual": None}),
+    (grouplike.SeriesElement, ("ambient", "series"), {}),
+    (grouplike.GroupLikeResult, ("yes", "order", "check", "residual"),
+     {"order": None, "check": None, "residual": None}),
+    (grouplike.GroupLikeSequence, ("ambient", "terms", "bound", "cap"), {}),
+    (grouplike.SequenceValidation, ("ok", "clause", "index", "detail"),
+     {"clause": None, "index": None, "detail": None}),
+    (grouplike.Order2Completion, ("feasible", "completion", "candidate_classes", "residual"),
+     {"completion": None, "candidate_classes": (), "residual": None}),
+    (homlie.HomLieAlgebra, ("name", "basis", "brackets", "alpha"), {}),
+    (homlie.Validation, ("ok", "law", "witness", "residual"), {"law": None, "witness": None, "residual": None}),
+    (homlie.HomLieMorphism, ("source", "target", "matrix"), {}),
+    (suites.Check, ("name", "ok", "witness", "inconclusive"), {"witness": None, "inconclusive": False}),
+    (suites.CriterionReport, ("number", "title", "checks"), {}),
+]
+
+
+@pytest.mark.parametrize("record, fields, defaults", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_result_records_are_read_only_named_tuples(record, fields, defaults):
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    if record is grouplike.GroupLikeSequence:  # its terms must be series of orders 0..cap
+        values = (freehom.FREE, (TruncSeries([LinComb.single("1")]),), 0, 0)
+    else:
+        values = tuple(range(len(fields)))
+    built = record(*values)
+    assert tuple(built) == values
+    assert all(getattr(built, name) == value for name, value in zip(fields, values))
+    with pytest.raises(AttributeError):
+        setattr(built, fields[0], values[0])
+    assert repr(built) == "%s(%s)" % (record.__name__, ", ".join("%s=%r" % pair for pair in zip(fields, values)))
+    if record is ambient.IndexSearch:  # grouplike-check prints a 𝕋/I search with no level
+        assert repr(record(False, None, 3)) == "IndexSearch(found=False, index=None, searched_up_to=3)"

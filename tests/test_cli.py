@@ -650,9 +650,8 @@ def test_a_command_runs_only_the_modules_it_uses(argv, modules):
     code = "import contextlib, io\nfrom homtrees import cli\n" \
            "with contextlib.redirect_stdout(io.StringIO()): cli.run(%r)" % (argv,) + LOADED
     loaded = fresh(code)
-    assert [m for m in loaded if m not in FREE_SIDE + ["dataclasses", "inspect"]] == \
-        ["homtrees.%s" % m for m in modules]
-    assert ("dataclasses" in loaded) == bool(modules)
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert [m for m in loaded if m not in FREE_SIDE] == ["homtrees.%s" % m for m in modules]
 
 
 def test_verify_freehom_reports_the_u_element(capsys):

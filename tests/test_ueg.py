@@ -6,7 +6,6 @@ are asserted as frozen values here; everything else is either a pinned
 small example or a seeded random property check.
 """
 
-import dataclasses
 import math
 import os
 import random
@@ -369,7 +368,7 @@ def test_certificates_are_built_on_demand(monkeypatch):
     monkeypatch.setattr(ueg, "RowSpace", CountingRowSpace)
     # fresh names, so that no level context is already cached
     algebras = [make_algebra("aff2-on-demand", ("x", "y"), {(0, 1): (0, 1)}, ((1, 0), (0, 2))),
-                dataclasses.replace(load_algebra(SL2_JSON), name="sl2-on-demand")]
+                load_algebra(SL2_JSON)._replace(name="sl2-on-demand")]
     rng = random.Random(314)
     for g in algebras:
         for level in (2, 3, 4):
