@@ -2,26 +2,27 @@
 
 Both quotients in this package divide the same tree algebra: 𝕋/I keeps
 leaf weights and is exactly graded, U𝔤 decorates the leaves and absorbs
-every weight into its decoration through α.  Their Hom-Hopf maps agree
-up to one step.  Grafting, α and splitting produce a tree; *settling*
-turns that tree into stored keys: 𝕋/I keeps it as it is, U𝔤 expands it
-over the algebra basis with the weights absorbed.
+every weight into its decoration through α.  An element of either is a
+LinComb over stored keys, tensors LinCombs over (left key, right key)
+pairs.  A stored key is "1" for 𝟙 or the codec text of a tree in the
+quotient's own form: any weights in 𝕋/I, weight 0 on every leaf in U𝔤
+(every U𝔤 constructor, from parse_u_poly to the maps, makes only those).
 
 `Ambient` holds every map once — ∨, α, Δ, ε, S, ⊗, ηε, the convolution
 ⋆, tensor reduction, primitivity and the invertibility-index search.
-The bodies of ∨, α and Δ walk their input and hand each key to a
-per-key hook: _graft_keys (ka ∨ kb), _shift_key (α^k) and _split_tree
-(the settled splits of Δ).  Each hook returns stored pairs for one key;
-_split_tree also receives a memo dict that lives for one coproduct
-call.  The default hooks parse the key, apply the trees operation and
-settle the result, which is all U𝔤 needs; 𝕋/I overrides the three hooks
-to work on codec texts (freehom.FreeAmbient).  S needs no hook: a
-mirrored stored key is a stored key in both quotients.
+Grafting two trees and mirroring one move no weight, so ∨ and S act on
+stored keys alike in both quotients: two trees graft to "(a b)" of their
+inner texts (trees.INNER_OF_KEY), a unit factor goes through the α
+hook, and a mirrored key is a stored key.  α and Δ move weights, which
+only the quotient knows how to store, so their bodies hand each key to
+a per-quotient hook: _shift_key (α^k) and _split_tree (the stored
+splits of Δ).  Each hook returns stored pairs for one key; _split_tree
+also receives a memo dict that lives for one coproduct call.  𝕋/I
+answers them on codec texts (freehom.FreeAmbient), U𝔤 on trees whose
+weights it absorbs (ueg.UEAmbient).
 
-A subclass supplies the settle step or the hooks, the key reduction,
-the zero test, equality, parsing and the weighted powers.  Elements are
-LinCombs over codec keys, tensors LinCombs over (left key, right key)
-pairs.
+A subclass supplies the two hooks, the key reduction, the zero test,
+equality, parsing and the weighted powers.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .linalg import LinComb, TruncSeries
-from .trees import alpha_shift, graft, is_unit, leaf_count, mirror, parse, splits, to_text
+from .trees import INNER_OF_KEY, is_unit, leaf_count, mirror, parse, to_text
 
 
 class OracleInconclusive(RuntimeError):
@@ -82,15 +83,12 @@ class Ambient:
     """A quotient of the tree algebra with its Hom-Hopf maps.
 
     Subclasses define exact, _level_of, _key_reducer, is_zero, equal,
-    power_product and parse, and either _settle, which the default
-    per-key hooks settle with, or the three hooks themselves.
+    power_product and parse, and the two per-quotient hooks _shift_key
+    and _split_tree.  Every key of an element is a stored key (see the
+    module docstring).
     """
 
     exact: bool
-
-    def _settle(self, t, coeff) -> list:
-        """coeff·t as stored (key, coeff) pairs; t is a tree or the unit."""
-        raise NotImplementedError
 
     def _level_of(self, keys) -> Optional[int]:
         """The level at which elements over these keys are decided."""
@@ -103,28 +101,18 @@ class Ambient:
     def is_zero(self, p: LinComb, level: Optional[int] = None) -> bool:
         raise NotImplementedError
 
-    # the per-key hooks: stored pairs for one key (see the module docstring)
-
-    def _graft_keys(self, ka: str, kb: str, coeff) -> list:
-        """coeff·(ka ∨ kb) as stored (key, coeff) pairs."""
-        return self._settle(graft(parse(ka), parse(kb)), coeff)
+    # the per-quotient hooks: stored pairs for one key (see the module docstring)
 
     def _shift_key(self, key: str, k: int, coeff) -> list:
         """coeff·α^k(key) as stored (key, coeff) pairs."""
-        return self._settle(alpha_shift(parse(key), k), coeff)
+        raise NotImplementedError
 
     def _split_tree(self, t, coeff, memo: dict) -> list:
         """coeff·Δt as ((left key, right key), coeff) pairs, in trees.splits order.
 
         t is a parsed key: a tree within COPRODUCT_LEAF_CAP, or the unit.
         """
-        out = []
-        for left, right in splits(t):
-            settled = self._settle(right, 1)
-            for lk, lc in self._settle(left, coeff):
-                for rk, rc in settled:
-                    out.append(((lk, rk), lc * rc))
-        return out
+        raise NotImplementedError
 
     def unit(self) -> LinComb:
         return LinComb.single("1")
@@ -133,11 +121,21 @@ class Ambient:
         return LinComb.zero()
 
     def graft(self, a: LinComb, b: LinComb) -> LinComb:
-        """Bilinear grafting; a unit factor acts through α."""
+        """Bilinear grafting of stored keys; a unit factor acts through α.
+
+        Two trees graft to "(a b)" of their inner texts, a stored key as
+        it stands: its weights are theirs.
+        """
+        inner = INNER_OF_KEY.get
         out = []
         for ka, ca in a.items():
             for kb, cb in b.items():
-                out.extend(self._graft_keys(ka, kb, ca * cb))
+                if ka == "1":
+                    out.extend(self._shift_key(kb, 1, ca * cb))
+                elif kb == "1":
+                    out.extend(self._shift_key(ka, 1, ca * cb))
+                else:
+                    out.append(("(%s %s)" % (inner(ka, ka), inner(kb, kb)), ca * cb))
         return LinComb(out)
 
     def alpha(self, p: LinComb, k: int = 1) -> LinComb:
@@ -150,7 +148,7 @@ class Ambient:
         """Δ: a basis tree goes to Σ φ_I ⊗ φ_J over the splits of its leaf set.
 
         Δ(φ∨ψ) = Δφ ∨ Δψ, and trees.splits computes it that way; its unit
-        rule shifts surviving weights and settling stores them.  Δ𝟙 = 𝟙⊗𝟙.
+        rule shifts surviving weights, which _split_tree stores.  Δ𝟙 = 𝟙⊗𝟙.
         A tree of more than COPRODUCT_LEAF_CAP leaves raises ResourceLimit.
         """
         memo: dict = {}
@@ -171,7 +169,7 @@ class Ambient:
         """S: 𝟙 fixed, a basis tree goes to (−1)^n times its mirror.
 
         Mirroring keeps every weight and decoration, so a stored key
-        mirrors to a stored key and nothing needs settling.
+        mirrors to a stored key.
         """
         out = []
         for key, coeff in p.items():

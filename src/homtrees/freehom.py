@@ -15,14 +15,15 @@ format_poly read and write elements of 𝕋 as ±-sums of `[coef*] tree`
 terms over the codec's trees.Reader.
 
 A stored key of 𝕋 is its canonical codec text, so FreeAmbient answers
-Ambient's per-key hooks for ∨, α and Δ on texts and builds no tree per
-term.  ∨ of two texts is "(a b)", and with 𝟙 it is the α shift of the
-other text.  α^k adds k to every weight in the text.  Δ walks the key's
+Ambient's two per-quotient hooks, α and Δ, on texts and builds no tree
+per term.  α^k adds k to every weight in the text.  Δ walks the key's
 parsed tree once and builds each subtree's splits as pairs of texts by
 Δ(a∨b) = Δa ∨ Δb, in trees.splits order; the α shifts it repeats are
-memoised for one coproduct call only.  S mirrors each key's tree once,
-as Ambient does for both quotients.  Inside a text the weight-1 leaf is
-"1", as a key it is "01"; the key "1" is 𝟙.
+memoised for one coproduct call only.  ∨ and S are Ambient's, as for
+both quotients: ∨ of two texts is "(a b)" and with 𝟙 the α shift of the
+other text, and S mirrors each key's tree once.  Inside a text the
+weight-1 leaf is "1", as a key it is "01" (trees.KEY_OF_INNER); the key
+"1" is 𝟙.
 
 The oracle rests on a grading.  Assign each leaf the value s_i =
 weight_i + depth_i.  Both sides of the ideal generator have the same
@@ -77,6 +78,8 @@ from typing import Callable, NamedTuple, Optional
 from .ambient import Ambient, IndexSearch, identity_op  # noqa: F401 (re-exported for convolve)
 from .linalg import LinComb, Membership
 from .trees import (
+    INNER_OF_KEY,
+    KEY_OF_INNER,
     Leaf,
     Node,
     Reader,
@@ -191,21 +194,7 @@ class ClassComponents:
     def reduce(self, v: LinComb) -> LinComb:
         """Replace every key by its representative; keys outside the class stay."""
         rep = self._rep
-        out: dict = {}
-        for key, coeff in v.terms.items():
-            key = rep.get(key, key)
-            acc = out.get(key)
-            if acc is None:
-                out[key] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        residual = LinComb()
-        residual.terms = out
-        return residual
+        return v.map_keys(lambda key: rep.get(key, key))
 
     def membership(self, v: LinComb) -> Membership:
         residual = self.reduce(v)
@@ -286,8 +275,8 @@ def _class_rows(n: int, signature: tuple) -> tuple:
         return out
 
     basis = tuple(piece[0] for piece in pieces)
-    if basis == ("1",):
-        basis = ("01",)  # the weight-1 leaf: a bare "1" is the unit
+    if n == 1:  # one leaf: its key is not always its inner text
+        basis = tuple(KEY_OF_INNER.get(text, text) for text in basis)
     return basis, tuple((piece[0], r) for piece in pieces for r in rewrites(piece))
 
 
@@ -346,11 +335,9 @@ def is_zero_mod_I(p: TreePoly) -> bool:
     return not normal_form(p)
 
 
-# A map on texts works with inner texts, the codec text of a tree inside
-# parentheses: it differs from the stored key only for the weight-1 leaf,
-# the inner text "1" and the key "01".  None stands for the unit 𝟙.
-_INNER = {"01": "1"}
-_KEY = {None: "1", "1": "01"}
+# A map on texts works with inner texts (trees.INNER_OF_KEY); None stands
+# for the unit 𝟙.
+_KEY = {None: "1", **KEY_OF_INNER}
 _WEIGHT = re.compile(r"[0-9]+")
 
 
@@ -406,27 +393,19 @@ def _text_splits(t, memo: dict) -> tuple:
 class FreeAmbient(Ambient):
     """The one-generator quotient 𝕋/I: every check here is decidable.
 
-    Its per-key hooks work on codec texts, so a term of ∨, α or Δ is
-    never built as a tree: a key is parsed (a cached lookup) and walked
-    once for Δ, and ∨ and α act on the key texts themselves.  Its keys
-    are undecorated, as parse_poly reads them.
+    Its two hooks work on codec texts, so a term of α or Δ is never built
+    as a tree: a key is parsed (a cached lookup) and walked once for Δ,
+    and α acts on the key text itself.  Its keys are undecorated, as
+    parse_poly reads them.
     """
 
-    name = "free"
     exact = True
-
-    def _graft_keys(self, ka: str, kb: str, coeff) -> list:
-        if ka == "1":
-            return self._shift_key(kb, 1, coeff)
-        if kb == "1":
-            return self._shift_key(ka, 1, coeff)
-        return [("(%s %s)" % (_INNER.get(ka, ka), _INNER.get(kb, kb)), coeff)]
 
     def _shift_key(self, key: str, k: int, coeff) -> list:
         if key == "1":
             return [("1", coeff)]
-        text = _shift_text(_INNER.get(key, key), k)
-        return [(_KEY.get(text, text), coeff)]
+        text = _shift_text(INNER_OF_KEY.get(key, key), k)
+        return [(KEY_OF_INNER.get(text, text), coeff)]
 
     def _split_tree(self, t, coeff, memo: dict) -> list:
         if is_unit(t):

@@ -24,7 +24,7 @@ from math import factorial
 from typing import NamedTuple, Optional
 
 from .ambient import OracleInconclusive
-from .freehom import FREE, class_of
+from .freehom import FREE, class_context, class_of
 from .linalg import LinComb, RowSpace, TruncSeries, divide, frac, series_multiply
 
 
@@ -249,15 +249,12 @@ def complete_order2(elem: SeriesElement) -> Order2Completion:
             for merged in _interleavings(s1, s2):
                 classes.add((n1 + n2, merged))
     classes = tuple(sorted(classes))
-    from .trees import enumerate_class, to_text
-
-    candidates = []
-    for n, signature in classes:
-        candidates.extend(to_text(t) for t in enumerate_class(n, signature))
+    candidates = [text for n, signature in classes for text in class_context(n, signature).basis]
     rows = []
     for text in candidates:
         poly = LinComb.single(text)
-        cross = ambient.coproduct(poly) - LinComb({(text, "1"): 1, ("1", text): 1})
+        # as pairs: for 𝟙 the two terms are one key
+        cross = ambient.coproduct(poly) - LinComb([((text, "1"), 1), (("1", text), 1)])
         rows.append(ambient.reduce_tensor(cross))
     space = RowSpace(rows)
     if not target:

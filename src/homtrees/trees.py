@@ -343,17 +343,23 @@ def _render(t: Tree) -> str:
     return "(%s %s)" % (_render(t.left), _render(t.right))
 
 
+# A stored key is the codec text of a tree, or "1" for the unit.  Inside
+# parentheses a tree is written by its inner text, which differs from its
+# key only for the undecorated weight-1 leaf: key "01", inner text "1".
+KEY_OF_INNER = {"1": "01"}
+INNER_OF_KEY = {"01": "1"}
+
+
 def to_text(t: Element) -> str:
-    """Canonical text for a tree or the unit.
+    """Canonical text for a tree or the unit: the stored key.
 
     The undecorated weight-1 one-leaf tree renders as "01" so that the
     bare string "1" is reserved for the unit.
     """
     if is_unit(t):
         return "1"
-    if isinstance(t, Leaf) and t.name is None and t.weight == 1:
-        return "01"
-    return _render(t)
+    text = _render(t)
+    return KEY_OF_INNER.get(text, text)
 
 
 class Reader:

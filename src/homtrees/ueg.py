@@ -4,11 +4,13 @@ Trees now carry decorations: each leaf names a basis element of a fixed
 Hom-Lie algebra.  Weights never survive construction; a leaf of weight
 w decorated by x is absorbed into weight 0 decorated by α^w(x),
 expanded multilinearly over the algebra basis, so every stored key is a
-zero-weight decorated tree (or the unit).  That absorption is the
-settle step of UEAmbient, which carries the Hom-Hopf structure of
-ambient.Ambient over U𝔤.  parse_u_poly reads U𝔤 expressions over
-trees.Reader: the polynomial grammar of freehom with leaves WEIGHT:NAME
-or WEIGHT:(element), the element read by homlie at the same cursor.
+zero-weight decorated tree (or the unit).  That absorption
+(AlphaTable.settle) is what UEAmbient's α and Δ hooks end in; UEAmbient
+carries the Hom-Hopf structure of ambient.Ambient over U𝔤, and its ∨
+and S are Ambient's, on stored keys.  parse_u_poly reads U𝔤
+expressions over trees.Reader: the polynomial grammar of freehom with
+leaves WEIGHT:NAME or WEIGHT:(element), the element read by homlie at
+the same cursor.
 
 The enveloping quotient divides by two row families:
 
@@ -98,11 +100,13 @@ from .trees import (
     Node,
     ParseError,
     Reader,
+    alpha_shift,
     decorations_of,
     enumerate_shapes,
     is_unit,
     leaf_count,
     parse,
+    splits,
     with_weights,
 )
 
@@ -583,7 +587,9 @@ class UEAmbient(Ambient):
 
     An element is decided at its largest leaf count (at least 1) + 1;
     equal() escalates up to escalation_cap, and no level context holds
-    more than 8000 basis trees (DEFAULT_BASIS_CAP).
+    more than 8000 basis trees (DEFAULT_BASIS_CAP).  Its two hooks work
+    on trees: α^k shifts the parsed key, Δ takes trees.splits of it, and
+    AlphaTable.settle absorbs the weights that either one moves.
     """
 
     exact = False
@@ -592,11 +598,20 @@ class UEAmbient(Ambient):
         self.g = g
         self.x = tuple(x) if x is not None else None  # default exp direction
         self.escalation_cap = escalation_cap
-        self.name = "U(%s)" % g.name
         self._table = alpha_table(g)
 
-    def _settle(self, t, coeff) -> list:
-        return self._table.settle(t, coeff)
+    def _shift_key(self, key: str, k: int, coeff) -> list:
+        return self._table.settle(alpha_shift(parse(key), k), coeff)
+
+    def _split_tree(self, t, coeff, memo: dict) -> list:
+        settle = self._table.settle
+        out = []
+        for left, right in splits(t):
+            settled = settle(right, 1)
+            for lk, lc in settle(left, coeff):
+                for rk, rc in settled:
+                    out.append(((lk, rk), lc * rc))
+        return out
 
     def _level_of(self, keys) -> int:
         trees = [parse(key) for key in keys]
@@ -636,12 +651,13 @@ class UEAmbient(Ambient):
     def parse(self, text: str) -> UPoly:
         return parse_u_poly(self.g, text)
 
+    # one U𝔤 whatever its exp direction or escalation cap: the Hom-group
+    # multiplies sequences of different directions
     def __eq__(self, other):
-        return (isinstance(other, UEAmbient) and other.g == self.g
-                and other.x == self.x)
+        return isinstance(other, UEAmbient) and other.g == self.g
 
     def __hash__(self):
-        return hash((self.g, self.x))
+        return hash(self.g)
 
 
 def reduce_tensor_U(g: HomLieAlgebra, t: LinComb, level: int) -> LinComb:

@@ -2,9 +2,10 @@
 
 Δ over trees.splits is checked against the leaf-subset restriction:
 φ_I rebuilt from scratch for each of the 2ⁿ masks, leaf i being bit
-i−1, in 𝕋/I and in U𝔤 alike.  The text maps of freehom.FREE are checked
-against the tree path of tests/tree_path.py.  Both must give the same
-keys, coefficients and term order on every input.
+i−1, in 𝕋/I and in U𝔤 alike.  The text maps of freehom.FREE, and U𝔤's
+∨ on stored keys, are checked against the tree path of
+tests/tree_path.py.  Both must give the same keys, coefficients and term
+order on every input.
 """
 
 import os
@@ -15,12 +16,12 @@ import pytest
 
 from homtrees.ambient import ResourceLimit, identity_op
 from homtrees.freehom import FREE, normal_form
-from homtrees.homlie import load_algebra, make_algebra
+from homtrees.homlie import load_algebra, make_algebra, twist
 from homtrees.linalg import LinComb
 from homtrees.suites import book3, nonabelian2
 from homtrees.trees import UNIT, Leaf, enumerate_shapes, graft, is_unit, leaf_count, parse, to_text, with_weights
-from homtrees.ueg import UEAmbient, build_level
-from tree_path import TREE_PATH, settle
+from homtrees.ueg import UEAmbient, alpha_table, build_level
+from tree_path import TREE_PATH, TreePathAmbient, settle
 
 SL2 = os.path.join(os.path.dirname(__file__), "data", "sl2_twisted.json")
 
@@ -96,10 +97,35 @@ def test_ue_coproduct_matches_the_restriction_reference():
     ]
     rng = random.Random(20261019)
     for g in algebras:
-        ambient = UEAmbient(g)
-        assert_same_coproduct(ambient, ambient._settle, LinComb.single("1"))
+        ambient, settle_u = UEAmbient(g), alpha_table(g).settle
+        assert_same_coproduct(ambient, settle_u, LinComb.single("1"))
         for _ in range(40):
-            assert_same_coproduct(ambient, ambient._settle, random_poly(rng, g.basis, max_leaves=5, max_weight=2, terms=2))
+            assert_same_coproduct(ambient, settle_u, random_poly(rng, g.basis, max_leaves=5, max_weight=2, terms=2))
+
+
+def test_ue_graft_matches_the_tree_path():
+    """U𝔤's ∨ against grafting the parsed keys and settling the tree, term by term.
+
+    A unit factor acts through α, so the α run over the identity,
+    diagonal ones with and without a zero entry, and non-diagonal ones.
+    """
+    sl2 = make_algebra("sl2", ("E", "H", "F"), {(0, 1): (-2, 0, 0), (0, 2): (0, 1, 0), (1, 2): (0, 0, -2)},
+                       ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    algebras = [nonabelian2(alpha) for alpha in (((1, 0), (0, 1)), ((1, 0), (0, 2)), ((1, 0), (0, 0)),
+                                                 ((1, 1), (0, 1)))]
+    algebras += [load_algebra(SL2), twist(sl2, ((0, 0, -1), (0, -1, 0), (-1, 0, 0)), name="sl2-chevalley"),
+                 book3()]
+    rng = random.Random(20261023)
+    for g in algebras:
+        ambient, tree_path = UEAmbient(g), TreePathAmbient(alpha_table(g).settle)
+        # 𝟙, a leaf, a sum holding 𝟙 and seeded sums, all over stored keys: every leaf of weight 0
+        cherry = "(0:%s 0:%s)" % (g.basis[0], g.basis[-1])
+        inputs = [LinComb.single("1"), LinComb.single("0:" + g.basis[-1]), LinComb({"1": 2, cherry: Fraction(-1, 2)})]
+        inputs += [random_poly(rng, g.basis, max_leaves=4, max_weight=0, terms=rng.randint(1, 3))
+                   for _ in range(12)]
+        for p in inputs:
+            for q in inputs:
+                assert same(ambient.graft(p, q), tree_path.graft(p, q)), (g.name, p, q)
 
 
 def free_inputs(rng, count, max_leaves):

@@ -25,7 +25,7 @@ from homtrees.grouplike import (
 )
 from homtrees.homlie import make_algebra, nilpotent_kernel, twist
 from homtrees.linalg import LinComb, TruncSeries
-from homtrees.suites import DEEP_COUNTEREXAMPLE
+from homtrees.suites import DEEP_COUNTEREXAMPLE, sl2_diagonal_twist
 from homtrees.ueg import UEAmbient, u_power_product, ue_map
 
 
@@ -162,6 +162,28 @@ def test_completion_feasible_for_weight_one_leaf():
     assert is_grouplike_order_p(completed, 2).yes
 
 
+def test_completion_of_the_unit_is_minus_the_unit():
+    """q = 𝟙: the candidate 𝟙's cross term is −𝟙⊗𝟙, and c = −𝟙 solves the system."""
+    free = FreeAmbient()
+    unit = q = free.unit()
+    out = complete_order2(SeriesElement(free, TruncSeries([unit, q])))
+    assert out.feasible
+    assert out.candidate_classes == ((0, ()),)
+    c = out.completion
+    assert c == -unit
+    cross = free.coproduct(c) - free.tensor(c, unit) - free.tensor(unit, c)
+    assert not free.reduce_tensor(cross - free.tensor(q, q))
+
+
+def test_completion_infeasible_for_the_unit_plus_a_leaf():
+    free = FreeAmbient()
+    elem = SeriesElement(free, TruncSeries([free.unit(), LinComb({"1": 1, "0": 1})]))
+    out = complete_order2(elem)
+    assert not out.feasible
+    assert out.candidate_classes == ((0, ()), (1, (0,)), (2, (0, 0)))
+    assert out.residual
+
+
 def test_completion_rejects_inexact_ambient():
     g = scaled2()
     amb = UEAmbient(g, g.basis_vector(0))
@@ -284,6 +306,16 @@ def test_product_revalidates_ok():
 
 
 # ------------------------------------------------------------------ U𝔤 side
+
+
+def test_ue_product_of_two_directions_is_one_hom_group():
+    """exp(E) ∨ exp(F) over twisted sl2: one U𝔤 whatever the exp direction."""
+    tw = sl2_diagonal_twist()
+    a = exp_sequence(1, 2, UEAmbient(tw, tw.basis_vector(0)))
+    b = exp_sequence(1, 2, UEAmbient(tw, tw.basis_vector(2)))
+    ab = homgroup_product(a, b)
+    assert ab.bound == 1
+    assert validate_sequence(ab).ok
 
 
 def test_ue_exp_display_frozen():

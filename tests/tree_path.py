@@ -4,9 +4,11 @@ rewrites(t) is the tree-valued Hom-associativity rewriter, and
 class_rows(n, s) builds a class the tree way: enumerate_class, to_text
 on every tree and rewrites on every tree.  TreePathAmbient is 𝕋/I with
 ∨, α and Δ on tree values: every key is parsed, the trees operation
-applied and the result rendered with to_text; S and the maps built on
-these (convolution, tensor reduction, primitivity, the index search)
-run through ambient.Ambient as for freehom.FREE.
+applied and the result stored by its settle function, by default
+rendered with to_text; S and the maps built on these (convolution,
+tensor reduction, primitivity, the index search) run through
+ambient.Ambient as for freehom.FREE.  Given ueg.alpha_table(g).settle
+instead, its ∨ is the tree path that U𝔤's ∨ replaced.
 """
 
 from homtrees.ambient import COPRODUCT_LEAF_CAP, ResourceLimit
@@ -61,20 +63,23 @@ def settle(t, coeff) -> list:
 
 
 class TreePathAmbient(FreeAmbient):
-    """𝕋/I whose ∨, α and Δ build every term as a tree."""
+    """𝕋/I whose ∨, α and Δ build every term as a tree and store it with settle."""
+
+    def __init__(self, settle=settle):
+        self.settle = settle
 
     def graft(self, a: LinComb, b: LinComb) -> LinComb:
         out = []
         for ka, ca in a.items():
             ta = parse(ka)
             for kb, cb in b.items():
-                out.extend(settle(graft(ta, parse(kb)), ca * cb))
+                out.extend(self.settle(graft(ta, parse(kb)), ca * cb))
         return LinComb(out)
 
     def alpha(self, p: LinComb, k: int = 1) -> LinComb:
         out = []
         for key, coeff in p.items():
-            out.extend(settle(alpha_shift(parse(key), k), coeff))
+            out.extend(self.settle(alpha_shift(parse(key), k), coeff))
         return LinComb(out)
 
     def coproduct(self, p: LinComb) -> LinComb:
@@ -86,8 +91,8 @@ class TreePathAmbient(FreeAmbient):
                 raise ResourceLimit("the coproduct of a %d-leaf tree has 2^%d terms (cap %d leaves)"
                                     % (n, n, COPRODUCT_LEAF_CAP))
             for left, right in splits(t):
-                settled = settle(right, 1)
-                for lk, lc in settle(left, coeff):
+                settled = self.settle(right, 1)
+                for lk, lc in self.settle(left, coeff):
                     for rk, rc in settled:
                         out.append(((lk, rk), lc * rc))
         return LinComb(out)
