@@ -17,9 +17,10 @@ hook, and a mirrored key is a stored key.  α and Δ move weights, which
 only the quotient knows how to store, so their bodies hand each key to
 a per-quotient hook: _shift_key (α^k) and _split_tree (the stored
 splits of Δ).  Each hook returns stored pairs for one key; _split_tree
-also receives a memo dict that lives for one coproduct call.  𝕋/I
-answers them on codec texts (freehom.FreeAmbient), U𝔤 on trees whose
-weights it absorbs (ueg.UEAmbient).
+also receives a memo dict that lives for one coproduct call.  Both
+quotients answer them from the key text and the parsed key, without a
+tree per term: 𝕋/I keeps the weights in its texts (freehom.FreeAmbient),
+U𝔤 absorbs them into its decorations (ueg.UEAmbient).
 
 A subclass supplies the two hooks, the key reduction, the zero test,
 equality, parsing and the weighted powers.

@@ -14,10 +14,11 @@ mirror) over it; the module-level maps delegate to that ambient.  parse_poly and
 format_poly read and write elements of 𝕋 as ±-sums of `[coef*] tree`
 terms over the codec's trees.Reader.
 
-A stored key of 𝕋 is its canonical codec text, so FreeAmbient answers
-Ambient's two per-quotient hooks, α and Δ, on texts and builds no tree
-per term.  α^k adds k to every weight in the text.  Δ walks the key's
-parsed tree once and builds each subtree's splits as pairs of texts by
+A stored key of 𝕋 is its canonical codec text, so class_of reads a
+key's graded class off its text, and FreeAmbient answers Ambient's two
+per-quotient hooks, α and Δ, on texts and builds no tree per term.  α^k
+adds k to every weight in the text.  Δ walks the key's parsed tree once
+and builds each subtree's splits as pairs of texts by
 Δ(a∨b) = Δa ∨ Δb, in trees.splits order; the α shifts it repeats are
 memoised for one coproduct call only.  ∨ and S are Ambient's, as for
 both quotients: ∨ of two texts is "(a b)" and with 𝟙 the α shift of the
@@ -86,9 +87,7 @@ from .trees import (
     build_class,
     codec_leaf,
     is_unit,
-    leaf_count,
     parse,
-    s_signature,
     to_text,
 )
 
@@ -118,11 +117,23 @@ def tree_poly(element) -> TreePoly:
 
 
 def class_of(key: str) -> tuple:
-    """Grading key of a basis element: (leaf count, s-signature); 𝟙 ↦ (0, ())."""
-    t = parse(key)
-    if is_unit(t):
+    """Grading key of a stored key: (leaf count, s-signature); 𝟙 ↦ (0, ()).
+
+    One scan of the text, no tree: a leaf is a space-separated piece
+    without its parentheses, and its depth is the number of parentheses
+    open before it, so sᵢ = weightᵢ + depthᵢ.
+    """
+    if key == "1":
         return (0, ())
-    return (leaf_count(t), s_signature(t))
+    depth = 0
+    signature = []
+    for piece in key.split(" "):
+        leaf = piece.lstrip("(")
+        depth += len(piece) - len(leaf)
+        weight = leaf.rstrip(")")
+        signature.append(int(weight) + depth)
+        depth -= len(leaf) - len(weight)
+    return (len(signature), tuple(signature))
 
 
 def graded_decompose(p: TreePoly) -> dict:

@@ -287,31 +287,31 @@ def build_class(n: int, s: SSignature, leaf: Callable, node: Callable) -> tuple:
     on the left subtree and s[k:] − 1 on the right.  Only splits whose
     halves both have trees are followed, so the work stays proportional
     to the class even when a half alone would hold many trees.  Each
-    sub-signature is built once, so trees share the values made for
-    their common subtrees.  Trees come by root split, then left subtree,
-    then right subtree; the class is empty when no shape fits.
+    sub-signature's fitting splits are found once and its trees built
+    once, so trees share the values made for their common subtrees.
+    Trees come by root split, then left subtree, then right subtree; the
+    class is empty when no shape fits.
     """
     s = tuple(s)
     if len(s) != n:
         raise ValueError("signature length %d does not match leaf count %d" % (len(s), n))
-    fitting: dict = {}
+    fitting: dict = {}  # signature -> its root splits whose halves both fit, in split order
     built: dict = {}
 
     def fits(sig: tuple) -> bool:
-        if len(sig) == 1:
-            return sig[0] >= 0
-        ok = fitting.get(sig)
-        if ok is None:
-            # every leaf lies below the root; one fitting split is enough
-            ok = fitting[sig] = min(sig) >= 1 and any(True for _ in halves(sig))
-        return ok
+        return sig[0] >= 0 if len(sig) == 1 else bool(halves(sig))
 
-    def halves(sig: tuple):
-        low = tuple([x - 1 for x in sig])
-        for k in range(1, len(sig)):
-            left, right = low[:k], low[k:]
-            if fits(left) and fits(right):
-                yield left, right
+    def halves(sig: tuple) -> list:
+        out = fitting.get(sig)
+        if out is None:
+            out = fitting[sig] = []
+            if min(sig) >= 1:  # every leaf lies below the root
+                low = tuple([x - 1 for x in sig])
+                for k in range(1, len(sig)):
+                    left, right = low[:k], low[k:]
+                    if fits(left) and fits(right):
+                        out.append((left, right))
+        return out
 
     def build(sig: tuple) -> tuple:
         out = built.get(sig)

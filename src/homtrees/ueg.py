@@ -5,9 +5,10 @@ Hom-Lie algebra.  Weights never survive construction; a leaf of weight
 w decorated by x is absorbed into weight 0 decorated by α^w(x),
 expanded multilinearly over the algebra basis, so every stored key is a
 zero-weight decorated tree (or the unit).  That absorption
-(AlphaTable.settle) is what UEAmbient's α and Δ hooks end in; UEAmbient
-carries the Hom-Hopf structure of ambient.Ambient over U𝔤, and its ∨
-and S are Ambient's, on stored keys.  parse_u_poly reads U𝔤
+(AlphaTable.expand over the α powers of each leaf) is what UEAmbient's
+α and Δ hooks end in; they read each key's text and build no tree per
+term.  UEAmbient carries the Hom-Hopf structure of ambient.Ambient over
+U𝔤, and its ∨ and S are Ambient's, on stored keys.  parse_u_poly reads U𝔤
 expressions over trees.Reader: the polynomial grammar of freehom with
 leaves WEIGHT:NAME or WEIGHT:(element), the element read by homlie at
 the same cursor.
@@ -96,17 +97,16 @@ from .ambient import Ambient, OracleInconclusive, ResourceLimit
 from .homlie import HomLieAlgebra, HomLieMorphism, read_element, read_symbol, validate_morphism
 from .linalg import LinComb, Membership, RowSpace, divide, frac
 from .trees import (
+    DecorationMismatch,
     Leaf,
     Node,
     ParseError,
     Reader,
-    alpha_shift,
     decorations_of,
     enumerate_shapes,
     is_unit,
     leaf_count,
     parse,
-    splits,
     with_weights,
 )
 
@@ -539,12 +539,8 @@ class UEquality:
 
 
 def max_leaves(p: UPoly) -> int:
-    worst = 0
-    for key in p.terms:
-        t = parse(key)
-        if not is_unit(t):
-            worst = max(worst, leaf_count(t))
-    return worst
+    """The leaf count of p's largest tree, read off the stored keys: one more than its spaces."""
+    return max([0] + [key.count(" ") + 1 for key in p.terms if key != "1"])
 
 
 def equal_mod_U(g: HomLieAlgebra, a: UPoly, b: UPoly, level: int) -> UEquality:
@@ -587,9 +583,16 @@ class UEAmbient(Ambient):
 
     An element is decided at its largest leaf count (at least 1) + 1;
     equal() escalates up to escalation_cap, and no level context holds
-    more than 8000 basis trees (DEFAULT_BASIS_CAP).  Its two hooks work
-    on trees: α^k shifts the parsed key, Δ takes trees.splits of it, and
-    AlphaTable.settle absorbs the weights that either one moves.
+    more than 8000 basis trees (DEFAULT_BASIS_CAP).  Its two hooks read
+    each key as a template with one %s per leaf and a (weight, basis
+    index) per leaf, and end in AlphaTable.expand, which absorbs the
+    weights: α^k scans the key text once and adds k to every weight; Δ
+    walks the parsed key once and builds each subtree's splits as pairs
+    of such sides by Δ(a∨b) = Δa ∨ Δb, in trees.splits order, a unit
+    graft adding 1 to every weight of the other side.  On a leaf with no
+    decoration or an unknown one, or a shift below weight 0, either hook
+    raises what the tree path (trees.alpha_shift or trees.splits, then
+    AlphaTable.settle) raises.
     """
 
     exact = False
@@ -601,21 +604,73 @@ class UEAmbient(Ambient):
         self._table = alpha_table(g)
 
     def _shift_key(self, key: str, k: int, coeff) -> list:
-        return self._table.settle(alpha_shift(parse(key), k), coeff)
+        if key == "1":
+            return [("1", coeff)]
+        table = self._table
+        index, power = table.index, table.power
+        parts, leaves = [], []
+        for piece in key.split(" "):
+            leaf = piece.strip("()")
+            parts.append(piece.replace(leaf, "%s"))
+            weight, _, name = leaf.partition(":")
+            leaves.append((int(weight), name or None))
+        supports = []
+        for weight, name in leaves:
+            i = index.get(name)
+            if i is None or weight + k < 0:
+                # the tree path shifts every weight before it settles a leaf
+                for w, _ in leaves:
+                    if w + k < 0:
+                        raise ValueError("weight shift by %d would make leaf weight %d negative" % (k, w))
+                table.leaf_index(name)
+            supports.append(power(weight + k)[i])
+        return table.expand(" ".join(parts), supports, coeff)
 
     def _split_tree(self, t, coeff, memo: dict) -> list:
-        settle = self._table.settle
+        if is_unit(t):
+            return [(("1", "1"), coeff)]
+        table = self._table
+        index, power = table.index, table.power
+
+        def graft(a, b):
+            """a ∨ b of two sides, None standing for 𝟙."""
+            if a is None:
+                return None if b is None else (b[0], tuple([(w + 1, i) for w, i in b[1]]))
+            if b is None:
+                return a[0], tuple([(w + 1, i) for w, i in a[1]])
+            return "(%s %s)" % (a[0], b[0]), a[1] + b[1]
+
+        def walk(node) -> list:
+            if node.__class__ is Leaf:
+                i = index.get(node.name)
+                if i is None:  # raise what trees.splits, then AlphaTable.settle, would raise
+                    names = decorations_of(t)
+                    if None in names and any(names):
+                        raise DecorationMismatch("cannot graft decorated and undecorated trees")
+                    table.leaf_index(node.name)
+                side = ("%s", ((node.weight, i),))
+                return [(None, side), (side, None)]
+            left = walk(node.left)
+            return [(graft(a1, b1), graft(a2, b2)) for b1, b2 in walk(node.right) for a1, a2 in left]
+
+        def expanded(side) -> list:
+            """The stored pairs of a side, made once per coproduct call."""
+            out = memo.get(side)
+            if out is None:
+                out = memo[side] = ([("1", 1)] if side is None else
+                                    table.expand(side[0], [power(w)[i] for w, i in side[1]], 1))
+            return out
+
         out = []
-        for left, right in splits(t):
-            settled = settle(right, 1)
-            for lk, lc in settle(left, coeff):
-                for rk, rc in settled:
-                    out.append(((lk, rk), lc * rc))
+        for a, b in walk(t):
+            right = expanded(b)
+            for lk, lc in expanded(a):
+                lc = coeff if lc == 1 else lc * coeff
+                out.extend([((lk, rk), lc if rc == 1 else lc * rc) for rk, rc in right])
         return out
 
     def _level_of(self, keys) -> int:
-        trees = [parse(key) for key in keys]
-        return max([1] + [leaf_count(t) for t in trees if not is_unit(t)]) + DEFAULT_SLACK
+        return max([1] + [key.count(" ") + 1 for key in keys if key != "1"]) + DEFAULT_SLACK
 
     def _key_reducer(self, level: int) -> Callable:
         ctx = build_level(self.g, level)

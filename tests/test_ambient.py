@@ -3,9 +3,9 @@
 Δ over trees.splits is checked against the leaf-subset restriction:
 φ_I rebuilt from scratch for each of the 2ⁿ masks, leaf i being bit
 i−1, in 𝕋/I and in U𝔤 alike.  The text maps of freehom.FREE, and U𝔤's
-∨ on stored keys, are checked against the tree path of
+∨, α and Δ on key texts, are checked against the tree path of
 tests/tree_path.py.  Both must give the same keys, coefficients and term
-order on every input.
+order on every input, and U𝔤's hooks the same errors.
 """
 
 import os
@@ -15,11 +15,22 @@ from fractions import Fraction
 import pytest
 
 from homtrees.ambient import ResourceLimit, identity_op
-from homtrees.freehom import FREE, normal_form
+from homtrees.freehom import FREE, class_of, normal_form
 from homtrees.homlie import load_algebra, make_algebra, twist
 from homtrees.linalg import LinComb
 from homtrees.suites import book3, nonabelian2
-from homtrees.trees import UNIT, Leaf, enumerate_shapes, graft, is_unit, leaf_count, parse, to_text, with_weights
+from homtrees.trees import (
+    UNIT,
+    DecorationMismatch,
+    Leaf,
+    enumerate_shapes,
+    graft,
+    is_unit,
+    leaf_count,
+    parse,
+    to_text,
+    with_weights,
+)
 from homtrees.ueg import UEAmbient, alpha_table, build_level
 from tree_path import TREE_PATH, TreePathAmbient, settle
 
@@ -126,6 +137,86 @@ def test_ue_graft_matches_the_tree_path():
         for p in inputs:
             for q in inputs:
                 assert same(ambient.graft(p, q), tree_path.graft(p, q)), (g.name, p, q)
+
+
+def ue_algebras():
+    """aff2 at α = id, diag(1, 2), diag(1, 0) and [[1, 1], [0, 1]], twisted sl2, the
+    Chevalley-twisted sl2 (α not diagonal) and book3 (α with a zero entry)."""
+    sl2 = make_algebra("sl2", ("E", "H", "F"), {(0, 1): (-2, 0, 0), (0, 2): (0, 1, 0), (1, 2): (0, 0, -2)},
+                       ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    algebras = [nonabelian2(alpha) for alpha in (((1, 0), (0, 1)), ((1, 0), (0, 2)), ((1, 0), (0, 0)),
+                                                 ((1, 1), (0, 1)))]
+    return algebras + [load_algebra(SL2), twist(sl2, ((0, 0, -1), (0, -1, 0), (-1, 0, 0)), name="sl2-chevalley"),
+                       book3()]
+
+
+def test_ue_text_maps_match_the_tree_path():
+    """α^k, Δ, S⋆id, id⋆S and reduce_tensor(Δp) of U𝔤 against the tree path, term by term.
+
+    The inputs hold 𝟙, stored keys and keys with leaf weights up to 2,
+    which both paths absorb into their decorations.
+    """
+    rng = random.Random(20261032)
+    for g in ue_algebras():
+        ambient, tree_path = UEAmbient(g), TreePathAmbient(alpha_table(g).settle)
+        weighted = "(2:%s (0:%s 1:%s))" % (g.basis[-1], g.basis[0], g.basis[-1])
+        inputs = [LinComb.single("1"), LinComb.single("1:" + g.basis[0]),
+                  LinComb({"1": 3, weighted: Fraction(1, 2), "0:" + g.basis[-1]: -1})]
+        inputs += [random_poly(rng, g.basis, max_leaves=4, max_weight=rng.choice((0, 2)), terms=rng.randint(1, 3))
+                   for _ in range(10)]
+        for p in inputs:
+            for k in (1, 2, 3):
+                assert same(ambient.alpha(p, k), tree_path.alpha(p, k)), (g.name, p, k)
+            delta = ambient.coproduct(p)
+            assert same(delta, tree_path.coproduct(p)), (g.name, p)
+            assert all(same(a, b) for a, b in zip(convolutions(ambient, p), convolutions(tree_path, p))), (g.name, p)
+            if largest(p) <= 3:  # the level of a 4-leaf Δ is slow to build for a 3-dimensional α
+                assert same(ambient.reduce_tensor(delta), ambient.reduce_tensor(tree_path.coproduct(p))), (g.name, p)
+
+
+def test_ue_text_hooks_raise_as_the_tree_path():
+    """An undecorated leaf, an unknown basis name and a shift below weight 0 fail as on the tree path."""
+    g = nonabelian2()
+    ambient, tree_path = UEAmbient(g), TreePathAmbient(alpha_table(g).settle)
+    cases = [
+        # an undecorated leaf: alone, among undecorated leaves, among decorated ones
+        ("alpha", "0", 1), ("alpha", "(0 0)", 1), ("alpha", "(0:x (2 0:q))", 1),
+        ("coproduct", "0", 1), ("coproduct", "(0 1)", 1), ("coproduct", "((0:x 0) 0:y)", 1),
+        ("coproduct", "(0:q (0:x 0))", 1),
+        # an unknown basis name, then the first of two
+        ("alpha", "(0:x 0:q)", 2), ("alpha", "((0:z 0:x) 0:q)", 1), ("coproduct", "(0:y (0:z 0:q))", 1),
+        # a shift below weight 0, before a bad leaf further left is settled
+        ("alpha", "(1:x 0:y)", -1), ("alpha", "(0:q (2:x 0:y))", -3), ("alpha", "(0 1:x)", -1),
+    ]
+    errors = set()
+    for method, key, k in cases:
+        p = LinComb({"(0:x 0:y)": 1, key: 2})
+        caught = []
+        for side in (ambient, tree_path):
+            with pytest.raises((ValueError, KeyError)) as info:
+                if method == "alpha":
+                    side.alpha(p, k)
+                else:
+                    side.coproduct(p)
+            caught.append((info.type, str(info.value)))
+        assert caught[0] == caught[1], (method, key, caught)
+        errors.add(caught[0][0])
+    assert errors == {ValueError, KeyError, DecorationMismatch}
+
+
+def test_text_hooks_parse_no_key():
+    """class_of and U𝔤's α read fresh keys without trees.parse."""
+    g = load_algebra(SL2)
+    ambient = UEAmbient(g)
+    rng = random.Random(20261033)
+    free_keys = [key for p in free_inputs(rng, 20, max_leaves=9) for key in p.terms]
+    ue = random_poly(rng, g.basis, max_leaves=6, max_weight=2, terms=20) + LinComb.single("1")
+    before = parse.cache_info()
+    for key in free_keys:
+        class_of(key)
+    for k in (0, 1, 2):
+        ambient.alpha(ue, k)
+    assert parse.cache_info() == before
 
 
 def free_inputs(rng, count, max_leaves):

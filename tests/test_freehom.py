@@ -190,6 +190,25 @@ def test_graded_decompose():
     assert class_of("1") == (0, ())
 
 
+def test_class_of_reads_the_key_text_as_the_parsed_tree():
+    """class_of scans the key; it must agree with leaf_count and s_signature of the parsed key."""
+    rng = random.Random(20261030)
+
+    def bracketing(n):
+        """A random tree of n leaves with weights 0–12; a comb's split, two times in three, so some nest deep."""
+        if n == 1:
+            return Leaf(rng.randint(0, 12))
+        k = rng.choice((1, n - 1, rng.randint(1, n - 1)))
+        return Node(bracketing(k), bracketing(n - k))
+
+    keys = ["1", "01", "0", "12", "(1 01)"] + [to_text(bracketing(rng.randint(1, 14))) for _ in range(400)]
+    assert {leaf_count(parse(key)) for key in keys[1:]} == set(range(1, 15))
+    for key in keys:
+        t = parse(key)
+        expected = (0, ()) if key == "1" else (leaf_count(t), s_signature(t))
+        assert class_of(key) == expected, key
+
+
 def test_class_context_examples():
     assert class_context(2, (1, 1)).space.rank == 0
     assert class_context(1, (5,)).space.rank == 0

@@ -30,6 +30,7 @@ from homtrees.trees import (
     alpha_shift,
     decorations_of,
     enumerate_shapes,
+    leaf_count,
     parse,
     to_text,
     weights_of,
@@ -226,6 +227,22 @@ def test_resource_limit():
                                                                          for n in range(1, 11)]
     with pytest.raises(ResourceLimit, match="level 60 over a 3-dimensional algebra"):
         build_level(sl2_twisted(), 60)
+
+
+def test_leaf_counts_read_from_the_key_text():
+    """max_leaves and the ambient's level count spaces in each key, as leaf_count of the parsed key would."""
+    g = sl2_twisted()
+    ambient = UEAmbient(g)
+    rng = random.Random(20261031)
+    for _ in range(60):
+        keys = [random_decorated(g, rng, rng.randint(1, 9)) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.3:
+            keys.append("1")
+        p = LinComb((key, 1) for key in keys)
+        counts = [0] + [leaf_count(parse(key)) for key in p.terms if key != "1"]
+        assert max_leaves(p) == max(counts), keys
+        assert ambient._level_of(p.terms) == max(1, max(counts)) + ueg.DEFAULT_SLACK, keys
+    assert max_leaves(LinComb.single("1")) == 0 and ambient._level_of(["1"]) == 1 + ueg.DEFAULT_SLACK
 
 
 def test_level_contexts_memoized():

@@ -8,7 +8,8 @@ applied and the result stored by its settle function, by default
 rendered with to_text; S and the maps built on these (convolution,
 tensor reduction, primitivity, the index search) run through
 ambient.Ambient as for freehom.FREE.  Given ueg.alpha_table(g).settle
-instead, its ∨ is the tree path that U𝔤's ∨ replaced.
+instead, its ∨, α and Δ are the tree paths that U𝔤's maps on key texts
+replaced.
 """
 
 from homtrees.ambient import COPRODUCT_LEAF_CAP, ResourceLimit
